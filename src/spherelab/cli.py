@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -218,8 +217,6 @@ def _parser() -> argparse.ArgumentParser:
         prog="spherelab",
         description="surfaces minimally embedded in round spheres: "
                     "builders, functionals, flows")
-    p.add_argument("--threads", type=int, default=0, metavar="N",
-                   help="cap BLAS worker threads (best effort, via environment)")
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build a surface and write its mesh file")
@@ -268,9 +265,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.threads > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     for tol_attr in ("tol", "flow_tol"):
         if getattr(args, tol_attr, 1.0) <= 0:
             print(f"error: --{tol_attr.replace('_', '-')} must be positive",

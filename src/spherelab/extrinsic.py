@@ -15,8 +15,11 @@ Two estimator routes live here, with distinct jobs:
   curvature stalls at an O(1) floor exactly there.  The two-ring is the
   default stencil because a one-ring is under-determined in higher
   codimension (and a regular one-ring lies on a conic, which makes its
-  quadric fit singular); when even the two-ring is numerically degenerate
-  the fit widens once more before giving up.
+  quadric fit singular).  Vertices are grouped by exact two-ring size and
+  each group runs in fixed chunks through one batched kernel (log map,
+  tangent frames, weighted design, one batched SVD); vertices whose normal
+  equations fail the condition test run through it again on the stencil
+  widened by one more ring before the fit gives up.
 
 * the cotan Laplacian through the identity  Delta_Sigma x = H - 2 x  for
   surfaces of the unit sphere (so minimal surfaces satisfy Delta x = -2x,
@@ -71,6 +74,8 @@ __all__ = [
 # threshold on the condition number of the normal equations (design^T design)
 _COND_LIMIT = 1e8
 _MIN_NEIGHBORS = 5
+# vertices per batched fit: bounds the working arrays at no cost in speed
+_CHUNK = 256
 
 
 def cotan_laplacian(mesh: SurfaceMesh, metric: DiscreteMetric | None = None) -> sp.csr_matrix:
@@ -192,116 +197,136 @@ def surface_normals(mesh: SurfaceMesh) -> np.ndarray:
 
 
 def _rings(mesh: SurfaceMesh):
-    """(one_ring, two_ring) neighbour index lists per vertex."""
+    """(adjacency, two_ring) as CSR matrices; row v of two_ring omits v."""
     V = mesh.n_vertices
     i, j = mesh.edges[:, 0], mesh.edges[:, 1]
     ones = np.ones(len(i))
     A = sp.coo_matrix((ones, (i, j)), shape=(V, V))
     A = (A + A.T).tocsr()
-    one = [A.indices[A.indptr[v]:A.indptr[v + 1]] for v in range(V)]
-    A2 = ((A + A @ A) > 0).tocsr()
-    two = []
-    for v in range(V):
-        nb = A2.indices[A2.indptr[v]:A2.indptr[v + 1]]
-        two.append(nb[nb != v])
-    return one, two
+    return A, _strip_centres(((A + A @ A) > 0).tocsr(), np.arange(V))
 
 
-def _log_rows(center: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-    """Log map of neighbour positions into the tangent space at ``center``."""
-    dots = np.clip(neighbors @ center, -1.0, 1.0)
+def _strip_centres(S: sp.csr_matrix, centres: np.ndarray) -> sp.csr_matrix:
+    """Row r of S without column ``centres[r]``, the rest in their order."""
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    keep = S.indices != centres[rows]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=S.shape[0]))])
+    return sp.csr_matrix((np.ones(int(keep.sum()), dtype=bool), S.indices[keep], indptr),
+                         shape=S.shape)
+
+
+def _widen(adjacency: sp.csr_matrix, stencil: sp.csr_matrix, centres: np.ndarray):
+    """Grow each stencil row by one ring (union of its members' one-rings)."""
+    grown = ((stencil + stencil @ adjacency) > 0).tocsr()
+    grown.sort_indices()
+    return _strip_centres(grown, centres)
+
+
+def _log_map(X: np.ndarray, ids: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """Log map of the positions X[nb] (n, k stencils) into the tangent
+    spaces of the sphere at X[ids]."""
+    centres, neighbors = X[ids], X[nb]
+    dots = np.clip((neighbors @ centres[:, :, None])[..., 0], -1.0, 1.0)
     theta = np.arccos(dots)
-    w = neighbors - dots[:, None] * center
-    wn = np.linalg.norm(w, axis=1)
-    if np.any(wn <= 1e-300):
-        raise InsufficientNeighborhood("duplicate neighbour position in a ring")
-    return w * (theta / wn)[:, None]
+    w = neighbors - dots[..., None] * centres[:, None, :]
+    wn = np.linalg.norm(w, axis=2)
+    dup = np.flatnonzero(np.any(wn <= 1e-300, axis=1))
+    if len(dup):
+        raise InsufficientNeighborhood(
+            f"duplicate neighbour position in the ring of vertex {ids[dup[0]]}")
+    return w * (theta / wn)[..., None]
 
 
-def _frame_at(mesh: SurfaceMesh, v: int, W: np.ndarray) -> np.ndarray:
-    """Orthonormal (2, d+1) surface-tangent frame at vertex v.
+def _unit_rows(t: np.ndarray) -> np.ndarray:
+    # norms by a dot product per row, the arithmetic np.linalg.norm uses on
+    # one vector, so a frame does not depend on the chunk it is built in
+    return t / np.sqrt(t[:, None, :] @ t[:, :, None])[:, 0]
 
-    With analytic vertex normals (S^3) this is the exact orthogonal
+
+def _tangent_frames(mesh: SurfaceMesh, ids: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Orthonormal (n, 2, d+1) surface-tangent frames at vertices ``ids``.
+
+    With analytic vertex normals (S^3) each is the exact orthogonal
     complement of span(position, normal); otherwise a PCA of the log-mapped
-    neighbourhood directions.
+    neighbourhood directions W.
     """
     if mesh.dimension == 3 and mesh.vertex_normals is not None:
-        x = mesh.vertices[v]
-        nu = mesh.vertex_normals[v]
-        span = np.stack([x, nu])
-        e = np.eye(4)[int(np.argmin(np.sum(span ** 2, axis=0)))]
-        t1 = e - span.T @ (span @ e)
-        t1 /= np.linalg.norm(t1)
-        t2 = _cross4(x[None], nu[None], t1[None])[0]
-        t2 /= np.linalg.norm(t2)
-        return np.stack([t1, t2])
-    r = np.linalg.norm(W, axis=1)
-    Wn = W / np.maximum(r, 1e-300)[:, None]
+        x, nu = mesh.vertices[ids], mesh.vertex_normals[ids]
+        span = np.stack([x, nu], axis=1)
+        e = np.eye(4)[np.argmin(np.sum(span ** 2, axis=1), axis=1)]
+        t1 = _unit_rows(e - (span.transpose(0, 2, 1) @ (span @ e[:, :, None]))[..., 0])
+        return np.stack([t1, _unit_rows(_cross4(x, nu, t1))], axis=1)
+    r = np.linalg.norm(W, axis=2)
+    Wn = W / np.maximum(r, 1e-300)[..., None]
     _, sv, Vt = np.linalg.svd(Wn, full_matrices=False)
-    if len(sv) < 2 or sv[1] <= 1e-8 * sv[0]:
+    flat = np.flatnonzero(sv[:, 1] <= 1e-8 * sv[:, 0])
+    if len(flat):
         raise InsufficientNeighborhood(
-            f"neighbourhood of vertex {v} does not span a tangent plane")
-    return Vt[:2]
+            f"neighbourhood of vertex {ids[flat[0]]} does not span a tangent plane")
+    return Vt[:, :2]
 
 
-def _fit_vertex(mesh: SurfaceMesh, v: int, nb: np.ndarray):
-    """Weighted quadric fit over one neighbourhood.
-
-    Returns (alpha_sq, frame, hessian_vectors) or None when the design is
-    too ill-conditioned (caller widens the stencil).
-    """
-    W = _log_rows(mesh.vertices[v], mesh.vertices[nb])
-    T = _frame_at(mesh, v, W)
-    uv = W @ T.T
+def _fit_chunk(mesh: SurfaceMesh, ids: np.ndarray, nb: np.ndarray):
+    """(alpha_sq, trace, ok) of the quadric fits at vertices ``ids`` over the
+    (n, k) stencils ``nb``; ok is False where the design is ill-conditioned."""
+    W = _log_map(mesh.vertices, ids, nb)
+    T = _tangent_frames(mesh, ids, W)
+    uv = W @ T.transpose(0, 2, 1)
     normal_part = W - uv @ T
-    r = np.linalg.norm(uv, axis=1)
-    scale = float(np.mean(r))
+    r = np.linalg.norm(uv, axis=2)
+    scale = np.mean(r, axis=1)[:, None]
     wts = np.sqrt(1.0 / (r + 0.1 * scale))
-    u, w = uv[:, 0] / scale, uv[:, 1] / scale
-    design = np.column_stack([
+    u, w = uv[..., 0] / scale, uv[..., 1] / scale
+    design = np.stack([
         np.ones_like(u), u, w, 0.5 * u * u, u * w, 0.5 * w * w,
-    ]) * wts[:, None]
+    ], axis=2) * wts[..., None]
     U, sv, Vt = np.linalg.svd(design, full_matrices=False)
-    if sv[-1] <= 0.0 or (sv[0] / sv[-1]) ** 2 > _COND_LIMIT:
-        return None
-    rhs = (normal_part / scale) * wts[:, None]
-    coef = Vt.T @ ((U.T @ rhs) / sv[:, None])
+    rhs = (normal_part / scale[..., None]) * wts[..., None]
+    # rows that fail the test may divide by a zero singular value; ok drops them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = (sv[:, -1] > 0.0) & ((sv[:, 0] / sv[:, -1]) ** 2 <= _COND_LIMIT)
+        coef = Vt.transpose(0, 2, 1) @ ((U.transpose(0, 2, 1) @ rhs) / sv[..., None])
     # coordinates and heights were divided by `scale`, so the quadratic
     # coefficients come back multiplied by one factor of it
-    a, b, c = coef[3] / scale, coef[4] / scale, coef[5] / scale
-    alpha_sq = float(np.sum(a * a + 2.0 * b * b + c * c))
-    return alpha_sq, T, (a, b, c)
+    a, b, c = (coef[:, 3:] / scale[..., None]).transpose(1, 0, 2)
+    alpha_sq = np.sum(a * a + 2.0 * b * b + c * c, axis=1)
+    return alpha_sq, a + c, ok
 
 
-def _widen(one, nb: np.ndarray, v: int) -> np.ndarray:
-    """Grow a stencil by one ring (union of the members' one-rings)."""
-    grown = np.unique(np.concatenate([nb] + [one[u] for u in nb]))
-    return grown[grown != v]
+def _fit_stencils(mesh: SurfaceMesh, ids: np.ndarray, stencil: sp.csr_matrix):
+    """(alpha_sq, trace, ok) at vertices ``ids`` over the rows of ``stencil``,
+    grouped by exact stencil size and fitted in chunks of ``_CHUNK``."""
+    n = len(ids)
+    alpha_sq, trace = np.empty(n), np.empty((n, mesh.vertices.shape[1]))
+    ok = np.empty(n, dtype=bool)
+    sizes = np.diff(stencil.indptr)
+    for k in np.unique(sizes):
+        group = np.flatnonzero(sizes == k)
+        for rows in np.split(group, np.arange(_CHUNK, len(group), _CHUNK)):
+            nb = stencil.indices[stencil.indptr[rows, None] + np.arange(k)]
+            alpha_sq[rows], trace[rows], ok[rows] = _fit_chunk(mesh, ids[rows], nb)
+    return alpha_sq, trace, ok
 
 
 def _quadric_scan(mesh: SurfaceMesh):
-    """alpha_sq, tangent frame and fitted-trace H per vertex: two-ring
-    stencil by default, widened by one more ring when the normal equations
-    are degenerate."""
-    one, two = _rings(mesh)
-    V = mesh.n_vertices
-    alpha_sq = np.empty(V)
-    frames = [None] * V
-    trace = np.empty_like(mesh.vertices)
-    for v in range(V):
-        nb = two[v]
-        if len(nb) < _MIN_NEIGHBORS:
-            raise InsufficientNeighborhood(
-                f"vertex {v} has only {len(nb)} two-ring neighbours")
-        fitted = _fit_vertex(mesh, v, nb)
-        if fitted is None:
-            fitted = _fit_vertex(mesh, v, _widen(one, nb, v))
-        if fitted is None:
+    """alpha_sq and fitted-trace H per vertex: two-ring stencil by default,
+    widened by one more ring where the normal equations are degenerate."""
+    adjacency, two = _rings(mesh)
+    sizes = np.diff(two.indptr)
+    few = np.flatnonzero(sizes < _MIN_NEIGHBORS)
+    if len(few):
+        raise InsufficientNeighborhood(
+            f"vertex {few[0]} has only {sizes[few[0]]} two-ring neighbours")
+    alpha_sq, trace, ok = _fit_stencils(mesh, np.arange(mesh.n_vertices), two)
+    redo = np.flatnonzero(~ok)
+    if len(redo):
+        a, t, ok = _fit_stencils(mesh, redo, _widen(adjacency, two[redo], redo))
+        if not ok.all():
             raise IllConditionedFit(
-                f"quadric fit at vertex {v} is ill-conditioned even on a widened stencil")
-        alpha_sq[v], frames[v], (a, _, c) = fitted
-        trace[v] = a + c
-    return alpha_sq, frames, trace
+                f"quadric fit at vertex {redo[~ok][0]} is ill-conditioned even on "
+                "a widened stencil")
+        alpha_sq[redo], trace[redo] = a, t
+    return alpha_sq, trace
 
 
 def second_fundamental_norm(mesh: SurfaceMesh) -> VertexField:
@@ -312,12 +337,15 @@ def second_fundamental_norm(mesh: SurfaceMesh) -> VertexField:
     normal heights, and each height component is fitted by a full quadratic
     ``c0 + c1 u + c2 v + a u^2/2 + b uv + c v^2/2`` with inverse-distance
     weights.  |alpha|^2 is the squared Frobenius norm of the fitted Hessian,
-    summed over the normal directions.  The stencil is the two-ring; raises
-    InsufficientNeighborhood below 5 usable neighbours and IllConditionedFit
-    when the normal equations stay above condition number 1e8 even after
-    widening the stencil by one more ring.
+    summed over the normal directions.  The stencil is the two-ring; vertices
+    with equally many neighbours are fitted together, in fixed-size chunks,
+    by one batched SVD, and those whose normal equations exceed condition
+    number 1e8 are fitted again on the stencil widened by one more ring.
+    Raises InsufficientNeighborhood below 5 neighbours, on duplicate
+    positions or a neighbourhood spanning no tangent plane, and
+    IllConditionedFit when a widened fit stays ill-conditioned.
     """
-    alpha_sq, _, _ = _quadric_scan(mesh)
+    alpha_sq, _ = _quadric_scan(mesh)
     return VertexField(np.maximum(alpha_sq, 0.0))
 
 
@@ -360,7 +388,7 @@ class ExtrinsicField:
     def compute(cls, mesh: SurfaceMesh) -> "ExtrinsicField":
         g = induced_metric(mesh)
         s = angle_defect_curvature(mesh, g).values
-        alpha_sq, _, H = _quadric_scan(mesh)
+        alpha_sq, H = _quadric_scan(mesh)
         alpha_sq = np.maximum(alpha_sq, 0.0)
         h2 = np.sum(H * H, axis=1)
         res = s - (2.0 + h2 - alpha_sq)

@@ -28,6 +28,8 @@ import numpy as np
 
 from .errors import NonConvergence, TriangleViolation
 from .mesh import (
+    _TRIANGLE_SLACK,
+    _triangle_slacks,
     DiscreteMetric,
     EUCLIDEAN,
     SurfaceMesh,
@@ -46,9 +48,6 @@ __all__ = [
     "run_uniformization",
     "trace_csv",
 ]
-
-_SLACK_FLOOR = 1e-10
-
 
 @dataclass(frozen=True)
 class FlowState:
@@ -84,8 +83,7 @@ class FlowTrace:
 
 
 def _min_slack(metric: DiscreteMetric) -> float:
-    L = metric.face_corner_lengths
-    return float(np.min((np.sum(L, axis=1) - 2 * np.max(L, axis=1)) / np.max(L, axis=1)))
+    return float(np.min(_triangle_slacks(metric.face_corner_lengths)))
 
 
 def conformal_lengths(base: DiscreteMetric, u: VertexField) -> DiscreteMetric:
@@ -100,9 +98,7 @@ def conformal_lengths(base: DiscreteMetric, u: VertexField) -> DiscreteMetric:
         raise ValueError("factor field does not match the metric's vertex count")
     scale = np.exp(0.5 * (vals[base.edges[:, 0]] + vals[base.edges[:, 1]]))
     lengths = base.lengths * scale
-    L = lengths[base.face_edge_ids]
-    slack = np.sum(L, axis=1) - 2 * np.max(L, axis=1)
-    bad = np.flatnonzero(slack <= _SLACK_FLOOR * np.max(L, axis=1))
+    bad = np.flatnonzero(_triangle_slacks(lengths[base.face_edge_ids]) <= _TRIANGLE_SLACK)
     if len(bad):
         raise TriangleViolation(
             f"{len(bad)} scaled faces violate the triangle inequality",

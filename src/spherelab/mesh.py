@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DegenerateTriangle,
@@ -110,59 +112,44 @@ def _edge_table(faces: np.ndarray):
     return edges, inverse.reshape(-1, 3)
 
 
+def _interior_halfedge_pairs(face_edge_ids: np.ndarray, n_edges: int):
+    """The two halfedges (3f + c) of every edge shared by exactly two faces,
+    as int32 arrays to keep the orientation graph small."""
+    e_flat = face_edge_ids.ravel()
+    order = np.argsort(e_flat, kind="stable").astype(np.int32)
+    counts = np.bincount(e_flat, minlength=n_edges)
+    first = (np.cumsum(counts) - counts)[counts == 2]
+    return order[first], order[first + 1]
+
+
 def _orientation_scan(faces: np.ndarray, edges: np.ndarray, face_edge_ids: np.ndarray):
     """Try to orient all faces consistently.
 
-    Returns (orientable, flips) where flips is a boolean per-face array such
-    that reversing the flagged faces yields a consistent orientation whenever
-    orientable is True.
+    Returns (orientable, flips): reversing the flagged faces orients the mesh
+    whenever it is orientable, and the lowest face of each connected component
+    keeps its winding.  Node f of the orientation double cover is face f as
+    given and node F + f its reverse; the mesh is orientable exactly when no
+    face's two nodes share a component.
     """
     F = faces.shape[0]
-    E = edges.shape[0]
     # for each (face, corner): does the face traverse the opposite edge in
     # ascending vertex order?
-    a = faces[:, [1, 2, 0]]
-    b = faces[:, [2, 0, 1]]
-    ascending = (a < b).ravel()  # per halfedge h = 3f + c
+    ascending = (faces[:, [1, 2, 0]] < faces[:, [2, 0, 1]]).ravel()  # halfedge 3f + c
 
-    # pair up the two halfedges of every interior edge
-    e_flat = face_edge_ids.ravel()
-    order = np.argsort(e_flat, kind="stable")
-    counts = np.bincount(e_flat, minlength=E)
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    first = starts[:-1][counts == 2]
-    partner_sorted = np.full(3 * F, -1, dtype=np.int64)
-    partner_sorted[first] = first + 1
-    partner_sorted[first + 1] = first
-    pos = np.empty(3 * F, dtype=np.int64)
-    pos[order] = np.arange(3 * F)
-    ps = partner_sorted[pos]
-    partner = np.where(ps >= 0, order[np.clip(ps, 0, None)], -1)
-
-    flips = np.zeros(F, dtype=bool)
-    seen = np.zeros(F, dtype=bool)
-    orientable = True
-    for start in range(F):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        while stack:
-            f = stack.pop()
-            for h in range(3 * f, 3 * f + 3):
-                ph = partner[h]
-                if ph < 0:
-                    continue
-                g = ph // 3
-                # consistent orientation <=> the two faces traverse the shared
-                # edge in opposite directions (after undoing any flips)
-                want_flip_g = not (bool(ascending[ph]) ^ bool(ascending[h]) ^ bool(flips[f]))
-                if not seen[g]:
-                    seen[g] = True
-                    flips[g] = want_flip_g
-                    stack.append(g)
-                elif flips[g] != want_flip_g:
-                    orientable = False
+    h, g = _interior_halfedge_pairs(face_edge_ids, edges.shape[0])
+    # consistent <=> the faces traverse the edge in opposite directions, so
+    # equal directions join each face to the other one reversed
+    swap = F * (ascending[h] == ascending[g])
+    rows = np.concatenate([h // 3, h // 3 + F])
+    cols = np.concatenate([g // 3 + swap, g // 3 + F - swap])
+    cover = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(2 * F, 2 * F))
+    _, label = connected_components(cover, directed=False)
+    orientable = not np.any(label[:F] == label[F:])
+    # the lowest face node of each component; a face is flipped when its
+    # reversed copy sits with its component's lowest face
+    lowest = np.full(2 * F, F)
+    np.minimum.at(lowest, label[:F], np.arange(F))
+    flips = lowest[label[F:]] < lowest[label[:F]]
     return orientable, flips
 
 
@@ -339,9 +326,11 @@ def euler_characteristic(mesh: SurfaceMesh) -> int:
 
 
 def _triangle_slacks(corner_lengths: np.ndarray) -> np.ndarray:
-    """Min triangle-inequality slack per face for (F, 3) side lengths."""
+    """Min triangle-inequality slack per face for (F, 3) side lengths, over
+    the longest side: scale-free, so every metric and the conformal flow
+    reject a face at the same ``_TRIANGLE_SLACK``."""
     a, b, c = corner_lengths[:, 0], corner_lengths[:, 1], corner_lengths[:, 2]
-    return np.minimum.reduce([b + c - a, c + a - b, a + b - c])
+    return np.minimum.reduce([b + c - a, c + a - b, a + b - c]) / np.max(corner_lengths, axis=1)
 
 
 @dataclass(frozen=True)
@@ -372,7 +361,7 @@ class DiscreteMetric:
             bad = int(np.argmin(slack))
             raise DegenerateTriangle(
                 f"face {bad} violates the triangle inequality "
-                f"(slack {float(slack.min()):.3e})")
+                f"(relative slack {float(slack.min()):.3e})")
 
     @property
     def face_corner_lengths(self) -> np.ndarray:

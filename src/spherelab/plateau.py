@@ -280,8 +280,6 @@ def _descent_state(V: np.ndarray, F: np.ndarray, free: np.ndarray,
     H = -Gn / dual[:, None]
     H[~free] = 0.0
 
-    if mu == 0.0:
-        return H, H
     umb = np.zeros_like(V)
     np.add.at(umb, tail, V[head] - V[tail])
     T = np.zeros_like(V)
@@ -291,12 +289,6 @@ def _descent_state(V: np.ndarray, F: np.ndarray, free: np.ndarray,
     T /= dual[:, None]
     T[~free] = 0.0
     return H, H + mu * T
-
-
-def _interior_mean_curvature(V: np.ndarray, F: np.ndarray, free: np.ndarray,
-                             tail: np.ndarray, head: np.ndarray) -> np.ndarray:
-    """Mean-curvature direction on the free vertices, zero elsewhere."""
-    return _descent_state(V, F, free, tail, head, 0.0)[0]
 
 
 def solve_plateau(problem: PlateauProblem, tol: float = 1e-2,

@@ -194,7 +194,10 @@ def test_table_over_mixed_surfaces(tmp_path):
     assert out2.startswith(out.split("wrote")[0])
 
 
-def test_threads_flag_is_accepted(tmp_path):
-    rc, out, _ = run_cli(["--threads", "2", "build", "clifford",
+def test_threads_flag_is_rejected(tmp_path):
+    # BLAS reads its thread count when numpy is imported, before any flag is
+    # parsed, so the CLI has no --threads option
+    rc, _, err = run_cli(["--threads", "2", "build", "clifford",
                           "--nu", "8", "--nv", "8"], tmp_path)
-    assert rc == 0
+    assert rc == 2
+    assert err.startswith("usage: spherelab")

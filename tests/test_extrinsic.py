@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spherelab import extrinsic
 from spherelab.errors import (
     DimensionMismatch,
     IllConditionedFit,
@@ -17,7 +18,13 @@ from spherelab.extrinsic import (
 )
 from spherelab.mesh import SurfaceMesh, induced_metric
 from spherelab.sphere import SphereIsometry
-from spherelab.zoo import clifford_torus, geodesic_sphere, great_sphere, lawson_tau
+from spherelab.zoo import (
+    clifford_torus,
+    geodesic_sphere,
+    great_sphere,
+    lawson_tau,
+    veronese_rp2,
+)
 
 
 def _rotation(dim, seed):
@@ -188,3 +195,90 @@ def test_gauss_residual_on_lawson_torus_converges():
     meds = [gauss_equation_residual(lawson_tau(3, 1, 24 * 2 ** n, 8 * 2 ** n)).median
             for n in (0, 1, 2)]
     assert meds[0] > meds[1] > meds[2]
+
+
+# ---------------------------------------------------------------------------
+# the batched quadric fit against a per-vertex least-squares reference
+
+
+def _balls(mesh, radius):
+    """Vertices within graph distance ``radius`` of each vertex, centre excluded."""
+    nbrs = [set() for _ in range(mesh.n_vertices)]
+    for i, j in mesh.edges:
+        nbrs[i].add(int(j))
+        nbrs[j].add(int(i))
+    out = []
+    for v in range(mesh.n_vertices):
+        ball = {v}
+        for _ in range(radius):
+            ball |= set().union(*(nbrs[u] for u in ball))
+        out.append(np.array(sorted(ball - {v})))
+    return out
+
+
+def _reference_fit(mesh, v, nb):
+    """(alpha_sq, trace, cond^2) of one vertex by weighted np.linalg.lstsq."""
+    x, P = mesh.vertices[v], mesh.vertices[nb]
+    dots = np.clip(P @ x, -1.0, 1.0)
+    w = P - dots[:, None] * x
+    W = w * (np.arccos(dots) / np.linalg.norm(w, axis=1))[:, None]
+    if mesh.vertex_normals is not None:
+        # the tangent plane completes span(x, normal) to an orthonormal basis
+        Q, _ = np.linalg.qr(np.column_stack([x, mesh.vertex_normals[v], np.eye(4)]))
+        T = Q[:, 2:4].T
+    else:
+        T = np.linalg.svd(W / np.linalg.norm(W, axis=1)[:, None])[2][:2]
+    uv = W @ T.T
+    heights = W - uv @ T
+    r = np.linalg.norm(uv, axis=1)
+    h = r.mean()
+    sw = np.sqrt(1.0 / (r + 0.1 * h))
+    u, s = uv[:, 0] / h, uv[:, 1] / h
+    design = np.column_stack([np.ones_like(u), u, s, u * u / 2, u * s, s * s / 2])
+    coef = np.linalg.lstsq(design * sw[:, None], heights * sw[:, None], rcond=None)[0]
+    a, b, c = coef[3:] / h ** 2
+    cond2 = np.linalg.cond(design * sw[:, None]) ** 2
+    return np.sum(a * a + 2 * b * b + c * c), a + c, cond2
+
+
+def _reference_scan(mesh, stencils):
+    fits = [_reference_fit(mesh, v, nb) for v, nb in enumerate(stencils)]
+    return (np.array([f[0] for f in fits]), np.array([f[1] for f in fits]),
+            np.array([f[2] for f in fits]))
+
+
+def _assert_close(got, ref):
+    # relative to the curvature scale of the unit sphere where values vanish
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: great_sphere(2),           # ring sizes 15, 17 and 18: three groups
+    lambda: geodesic_sphere(2, np.pi / 4),
+    lambda: veronese_rp2(1),           # codimension 2, PCA frames
+    lambda: clifford_torus(16),        # analytic normals
+])
+def test_batched_fit_matches_per_vertex_lstsq(build):
+    m = build()
+    alpha_sq, H = extrinsic._quadric_scan(m)
+    ref_a, ref_H, _ = _reference_scan(m, _balls(m, 2))
+    _assert_close(alpha_sq, ref_a)
+    _assert_close(H, ref_H)
+
+
+def test_ill_conditioned_two_rings_are_refitted_on_the_widened_stencil(monkeypatch):
+    m = geodesic_sphere(2, np.pi / 4)
+    two, three = _balls(m, 2), _balls(m, 3)
+    a2, H2, cond2 = _reference_scan(m, two)
+    a3, H3, cond3 = _reference_scan(m, three)
+    # two-ring conditions run from 37.4 to 40, widened ones stay below 32
+    limit = 38.5
+    widened = cond2 > limit
+    assert widened.any() and not widened.all() and np.all(cond3 < limit)
+    monkeypatch.setattr(extrinsic, "_COND_LIMIT", limit)
+    alpha_sq, H = extrinsic._quadric_scan(m)
+    _assert_close(alpha_sq, np.where(widened, a3, a2))
+    _assert_close(H, np.where(widened[:, None], H3, H2))
+    monkeypatch.setattr(extrinsic, "_COND_LIMIT", 1.0)
+    with pytest.raises(IllConditionedFit, match="vertex 0 "):
+        extrinsic._quadric_scan(m)

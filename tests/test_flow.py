@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spherelab.errors import NonConvergence, TriangleViolation
+from spherelab.errors import DegenerateTriangle, NonConvergence, TriangleViolation
 from spherelab.flow import (
     FlowState,
     conformal_lengths,
@@ -10,6 +10,8 @@ from spherelab.flow import (
     trace_csv,
 )
 from spherelab.mesh import (
+    EUCLIDEAN,
+    DiscreteMetric,
     SurfaceMesh,
     VertexField,
     face_areas,
@@ -69,6 +71,31 @@ def test_triangle_violation_lists_faces():
     with pytest.raises(TriangleViolation) as exc:
         conformal_lengths(base, VertexField(u))
     assert exc.value.faces, "offending faces should be listed"
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("slack, valid", [(5e-11, True), (5e-13, False)])
+def test_triangle_guards_agree_at_every_scale(scale, slack, valid):
+    # sides (0.005, 0.005 + slack, 0.01): relative slack 5e-9 passes, 5e-11 fails
+    edges = np.array([[0, 1], [1, 2], [0, 2]])
+    face_edge_ids = np.array([[1, 2, 0]])  # column c: the edge opposite corner c
+    target = scale * np.array([0.005, 0.005 + slack, 0.01])
+    log_t = np.log(target)
+    # vertex factors whose pairwise means scale the unit triangle to target
+    u = np.array([log_t[0] + log_t[2] - log_t[1], log_t[0] + log_t[1] - log_t[2],
+                  log_t[1] + log_t[2] - log_t[0]])
+    base = DiscreteMetric(edges, np.ones(3), EUCLIDEAN, face_edge_ids, 3)
+    try:
+        conformal_lengths(base, VertexField(u))
+        flow_ok = True
+    except TriangleViolation:
+        flow_ok = False
+    try:
+        DiscreteMetric(edges, target, EUCLIDEAN, face_edge_ids, 3)
+        metric_ok = True
+    except DegenerateTriangle:
+        metric_ok = False
+    assert flow_ok == metric_ok == valid
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,24 @@ def test_orientation_scan_accepts_mixed_windings():
     assert len(np.unique(he, axis=0)) == len(he)
 
 
+def test_orientation_of_two_components_keeps_each_lowest_face():
+    m = _octahedron()
+    rot, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+    V = np.vstack([m.vertices, m.vertices @ rot.T])
+    F = np.vstack([m.faces, m.faces[:, ::-1] + 6])  # second copy wound backwards
+    scrambled = np.zeros(16, dtype=bool)
+    scrambled[[1, 4, 10, 15]] = True
+    F[scrambled] = F[scrambled][:, ::-1]
+    two = M.SurfaceMesh(3, V, F)
+    assert M.euler_characteristic(two) == 4
+    # the lowest face of each component (0 and 8) keeps its winding; exactly
+    # the scrambled faces are turned back
+    flipped = np.any(two.oriented_faces != F, axis=1)
+    assert np.array_equal(flipped, scrambled)
+    he = two.oriented_faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    assert len(np.unique(he, axis=0)) == len(he)
+
+
 def test_nonorientable_surface_detected():
     V, F = _hemi_icosahedron()
     m = M.SurfaceMesh(3, V, F, orientable=False)
