@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .ambient import (
+    ParticleEnsemble,
     TubeField,
     _gradient_bound,
     build_ensemble,
@@ -161,13 +162,10 @@ def cmd_ambient(args) -> int:
     u = u_field.values
     field = TubeField.from_flow(mesh, u, epsilon=args.epsilon)
     dt = args.dt if args.dt else 0.5 * field.epsilon / (4.0 * _gradient_bound(field))
-    ensemble = build_ensemble(field, seed=args.seed)
-    integrate_palais_flow(field, ensemble, t_end=args.t_end, dt=dt)
-
-    vertices = mesh.vertices.copy()
-    from .ambient import ParticleEnsemble
-    carrier = ParticleEnsemble(vertices, ["vertex"] * len(vertices), [])
-    integrate_palais_flow(field, carrier, t_end=args.t_end, dt=dt)
+    ensemble = integrate_palais_flow(field, build_ensemble(field, seed=args.seed),
+                                     t_end=args.t_end, dt=dt)
+    carrier = ParticleEnsemble(mesh.vertices.copy(), ["vertex"] * mesh.n_vertices, [])
+    carrier = integrate_palais_flow(field, carrier, t_end=args.t_end, dt=dt)
     on_surface = [p for p, t in zip(ensemble.positions, ensemble.tags)
                   if t == "on_surface"]
     fixing = float(np.max(curved_surface_distance(field, np.array(on_surface))))

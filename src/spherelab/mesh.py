@@ -83,21 +83,8 @@ class VertexField:
             raise ValueError("vertex field contains non-finite entries")
 
 
-def field_values(f, n_vertices: int) -> np.ndarray:
-    """Accept a VertexField or bare array; check the length against the mesh."""
-    v = f.values if isinstance(f, VertexField) else np.asarray(f, dtype=float)
-    if v.shape != (n_vertices,):
-        raise FieldMeshMismatch(f"field has shape {v.shape}, mesh has {n_vertices} vertices")
-    return v
-
-
 # ---------------------------------------------------------------------------
 # the mesh
-
-
-def _halfedges(faces: np.ndarray) -> np.ndarray:
-    """Directed edges (3F, 2) in face traversal order: (v0,v1),(v1,v2),(v2,v0)."""
-    return faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
 
 
 def _edge_table(faces: np.ndarray):
@@ -416,9 +403,13 @@ def face_angles(metric: DiscreteMetric) -> np.ndarray:
 
 
 def _heron(L: np.ndarray) -> np.ndarray:
-    # Kahan's numerically stable Heron: sort sides descending
-    s = np.sort(L, axis=1)[:, ::-1]
-    a, b, c = s[:, 0], s[:, 1], s[:, 2]
+    # Kahan's numerically stable Heron on the sides a >= b >= c; picking them
+    # by min/max does no arithmetic, so the sides are exactly a sort's
+    x, y, z = L[:, 0], L[:, 1], L[:, 2]
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    a = np.maximum(hi, z)
+    b = np.maximum(lo, np.minimum(hi, z))
+    c = np.minimum(lo, z)
     prod = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
     return 0.25 * np.sqrt(np.maximum(prod, 0.0))
 
@@ -480,22 +471,27 @@ def angle_defect_curvature(mesh: SurfaceMesh, metric: DiscreteMetric) -> VertexF
 # refinement
 
 
-def refine(mesh: SurfaceMesh) -> SurfaceMesh:
-    """1-to-4 midpoint subdivision with radial re-projection."""
-    V = mesh.vertices
-    edges = mesh.edges
+def _subdivide(V: np.ndarray, F: np.ndarray, edges: np.ndarray,
+               face_edge_ids: np.ndarray):
+    """1-to-4 midpoint subdivision of raw arrays, midpoints projected to the
+    sphere; ``edges``/``face_edge_ids`` as from :func:`_edge_table`.  Edge e
+    gets the new vertex len(V) + e."""
     mid = V[edges[:, 0]] + V[edges[:, 1]]
     mid /= np.linalg.norm(mid, axis=1, keepdims=True)
-    verts = np.vstack([V, mid])
-
-    m = mesh.n_vertices + mesh.face_edge_ids  # midpoint index per (face, corner)
-    f = mesh.faces
+    m = len(V) + face_edge_ids  # midpoint index per (face, corner)
     faces = np.vstack([
-        np.column_stack([f[:, 0], m[:, 2], m[:, 1]]),
-        np.column_stack([f[:, 1], m[:, 0], m[:, 2]]),
-        np.column_stack([f[:, 2], m[:, 1], m[:, 0]]),
+        np.column_stack([F[:, 0], m[:, 2], m[:, 1]]),
+        np.column_stack([F[:, 1], m[:, 0], m[:, 2]]),
+        np.column_stack([F[:, 2], m[:, 1], m[:, 0]]),
         np.column_stack([m[:, 0], m[:, 1], m[:, 2]]),
     ])
+    return np.vstack([V, mid]), faces
+
+
+def refine(mesh: SurfaceMesh) -> SurfaceMesh:
+    """1-to-4 midpoint subdivision with radial re-projection."""
+    edges = mesh.edges
+    verts, faces = _subdivide(mesh.vertices, mesh.faces, edges, mesh.face_edge_ids)
 
     edge_lookup = {tuple(e): i for i, e in enumerate(map(tuple, edges))}
     loops = []

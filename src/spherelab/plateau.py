@@ -5,13 +5,16 @@ gradient descent on total spherical area: interior vertices of a disk mesh
 step synchronously along the discrete mean-curvature direction -- the
 surface-normal part of the exact gradient of the summed spherical face
 areas, per barycentric dual area -- while boundary vertices stay pinned on
-the polygon.  A backtracking
-line search accepts a step only when the spherical area (l'Huilier per
-face) actually drops and every triangle keeps quality 4*sqrt(3)*A/sum(l^2)
-above 0.05.  The descent either reaches ``max interior |H| < tol``, runs
-out of iterations (the achieved residual is returned for the caller to
-judge), or stalls with the line search unable to shrink the area any
-further, which raises StalledDescent rather than silently accepting.
+the polygon.  A backtracking line search accepts a step only when the
+spherical area actually drops and every flat triangle keeps quality
+4*sqrt(3)*A/sum(l^2) above 0.05.  Both areas come from the lengths kernel
+of the mesh module: the spherical area is its l'Huilier
+(``mesh._spherical_excess``) on the arcs over the face chords, and the flat
+area A its Heron (``mesh._heron``) on the chords themselves.  The descent
+either reaches ``max interior |H| < tol``, runs out of iterations (the
+achieved residual is returned for the caller to judge), or stalls with the
+line search unable to shrink the area any further, which raises
+StalledDescent rather than silently accepting.
 
 The closed surface is the orbit of the solved patch under the group
 generated by reflections across the great circles carrying the boundary
@@ -35,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AntipodalPair, StalledDescent, WeldFailure, WrongEuler
-from .mesh import SurfaceMesh, euler_characteristic
+from .mesh import SurfaceMesh, _heron, _spherical_excess, euler_characteristic
 from .sphere import AmbientPoint, SphereIsometry, reflection_across_great_circle
 from .zoo import weld_vertices
 
@@ -159,37 +162,30 @@ def _face_corners(V: np.ndarray, F: np.ndarray):
     return V[F[:, 0]], V[F[:, 1]], V[F[:, 2]]
 
 
+def _chord_lengths(V: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Straight side lengths (F, 3); column c is the side opposite corner c."""
+    p0, p1, p2 = _face_corners(V, F)
+    return np.column_stack([np.linalg.norm(p1 - p2, axis=1),
+                            np.linalg.norm(p2 - p0, axis=1),
+                            np.linalg.norm(p0 - p1, axis=1)])
+
+
+def _arcs(chords: np.ndarray) -> np.ndarray:
+    """Great-circle lengths of chords of the unit sphere."""
+    return 2.0 * np.arcsin(np.clip(0.5 * chords, 0.0, 1.0))
+
+
 def _spherical_face_areas(V: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Spherical excess per face (l'Huilier) from geodesic edge lengths."""
-    p0, p1, p2 = _face_corners(V, F)
-
-    def arc(u, w):
-        ch = 0.5 * np.linalg.norm(u - w, axis=1)
-        return 2.0 * np.arcsin(np.clip(ch, 0.0, 1.0))
-
-    la, lb, lc = arc(p1, p2), arc(p2, p0), arc(p0, p1)
-    s = 0.5 * (la + lb + lc)
-    t = (np.tan(0.5 * s) * np.tan(0.5 * (s - la))
-         * np.tan(0.5 * (s - lb)) * np.tan(0.5 * (s - lc)))
-    return 4.0 * np.arctan(np.sqrt(np.maximum(t, 0.0)))
-
-
-def _euclidean_face_areas(V: np.ndarray, F: np.ndarray) -> np.ndarray:
-    p0, p1, p2 = _face_corners(V, F)
-    u, w = p1 - p0, p2 - p0
-    g11 = np.einsum("ij,ij->i", u, u)
-    g22 = np.einsum("ij,ij->i", w, w)
-    g12 = np.einsum("ij,ij->i", u, w)
-    return 0.5 * np.sqrt(np.maximum(g11 * g22 - g12 * g12, 0.0))
+    return _spherical_excess(_arcs(_chord_lengths(V, F)))
 
 
 def _triangle_quality(V: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """4*sqrt(3)*A / sum(l^2): 1 for equilateral, 0 for degenerate."""
-    p0, p1, p2 = _face_corners(V, F)
-    per = (np.einsum("ij,ij->i", p1 - p0, p1 - p0)
-           + np.einsum("ij,ij->i", p2 - p1, p2 - p1)
-           + np.einsum("ij,ij->i", p0 - p2, p0 - p2))
-    return 4.0 * np.sqrt(3.0) * _euclidean_face_areas(V, F) / np.maximum(per, 1e-300)
+    """4*sqrt(3)*A / sum(l^2) of the flat triangles: 1 for equilateral, 0 for
+    degenerate."""
+    ch = _chord_lengths(V, F)
+    per = np.einsum("ij,ij->i", ch, ch)
+    return 4.0 * np.sqrt(3.0) * _heron(ch) / np.maximum(per, 1e-300)
 
 
 def _spherical_area_gradient(V: np.ndarray, F: np.ndarray) -> tuple:
@@ -208,19 +204,14 @@ def _spherical_area_gradient(V: np.ndarray, F: np.ndarray) -> tuple:
     sharp polygon corners.
     """
     p0, p1, p2 = _face_corners(V, F)
-
-    def chord(u, w):
-        return np.linalg.norm(u - w, axis=1)
-
     # arc opposite each corner: a = |p1 p2|, b = |p2 p0|, c = |p0 p1|
-    ch = (chord(p1, p2), chord(p2, p0), chord(p0, p1))
-    sin_arc = [h * np.sqrt(np.maximum(1.0 - 0.25 * h * h, 0.0)) for h in ch]
-    cos_arc = [1.0 - 0.5 * h * h for h in ch]
-    a, b, c = [2.0 * np.arcsin(np.clip(0.5 * h, 0.0, 1.0)) for h in ch]
+    ch = _chord_lengths(V, F)
+    sin_arc = [h * np.sqrt(np.maximum(1.0 - 0.25 * h * h, 0.0)) for h in ch.T]
+    cos_arc = [1.0 - 0.5 * h * h for h in ch.T]
+    arcs = _arcs(ch)
+    E = _spherical_excess(arcs)
+    a, b, c = arcs.T
     s = 0.5 * (a + b + c)
-    t = (np.tan(0.5 * s) * np.tan(0.5 * (s - a))
-         * np.tan(0.5 * (s - b)) * np.tan(0.5 * (s - c)))
-    E = 4.0 * np.arctan(np.sqrt(np.maximum(t, 0.0)))
     half = 0.5 * np.sin(0.5 * E)
     inv_s = 1.0 / np.maximum(np.sin(s), 1e-300)
     inv = [1.0 / np.maximum(np.sin(s - x), 1e-300) for x in (a, b, c)]
@@ -311,9 +302,9 @@ def solve_plateau(problem: PlateauProblem, tol: float = 1e-2,
     if not free.any():
         raise ValueError("the disk has no interior vertices to move")
 
-    area = float(np.sum(_spherical_face_areas(V, F)))
-    edges = V[F[:, [1, 2, 0]]] - V[F[:, [0, 1, 2]]]
-    hmin = float(np.min(np.linalg.norm(edges, axis=2)))
+    ch = _chord_lengths(V, F)
+    area = float(np.sum(_spherical_excess(_arcs(ch))))
+    hmin = float(np.min(ch))
     eta = 0.25 * hmin * hmin
     eta_cap = 64.0 * eta
     residual = float("inf")

@@ -28,7 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import (
@@ -38,7 +40,13 @@ from .errors import (
     WeldFailure,
     WrongEuler,
 )
-from .mesh import SurfaceMesh, euler_characteristic, probe_orientability
+from .mesh import (
+    SurfaceMesh,
+    _edge_table,
+    _subdivide,
+    euler_characteristic,
+    probe_orientability,
+)
 
 __all__ = [
     "ParametricPatch",
@@ -124,19 +132,7 @@ def icosphere(level: int):
     V, F = _icosahedron()
     F = np.array(F, dtype=np.int64)
     for _ in range(level):
-        # midpoint refinement on raw arrays (same scheme as mesh.refine)
-        half = np.sort(F[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1)
-        edges, inv = np.unique(half, axis=0, return_inverse=True)
-        mid = V[edges[:, 0]] + V[edges[:, 1]]
-        mid /= np.linalg.norm(mid, axis=1, keepdims=True)
-        m = len(V) + inv.reshape(-1, 3)
-        V = np.vstack([V, mid])
-        F = np.vstack([
-            np.column_stack([F[:, 0], m[:, 2], m[:, 1]]),
-            np.column_stack([F[:, 1], m[:, 0], m[:, 2]]),
-            np.column_stack([F[:, 2], m[:, 1], m[:, 0]]),
-            np.column_stack([m[:, 0], m[:, 1], m[:, 2]]),
-        ])
+        V, F = _subdivide(V, F, *_edge_table(F))
     return V, F
 
 
@@ -358,59 +354,34 @@ def lawson_tau_area(m: int, k: int) -> float:
 # welding
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def weld_vertices(dimension: int, vertices: np.ndarray, faces: np.ndarray,
-                  tol: float = 1e-9, name: str = "",
-                  orientable: bool | None = None,
-                  vertex_normals: np.ndarray | None = None) -> SurfaceMesh:
+                  tol: float = 1e-9, name: str = "") -> SurfaceMesh:
     """Identify vertices closer than ``tol`` and rebuild the quotient mesh.
 
-    Duplicate faces (same vertex set) collapse to a single face; a face that
-    degenerates (two of its corners welded together) means the tolerance
-    does not match the geometry and raises WeldFailure.  Orientability is
-    probed from the quotient unless declared.
+    Each connected component of the closer-than-``tol`` graph becomes one
+    vertex, placed at and numbered in the order of its lowest input vertex.
+    Duplicate faces (same vertex set) collapse to their first occurrence; a
+    face that degenerates (two of its corners welded together) means the
+    tolerance does not match the geometry and raises WeldFailure.
+    Orientability is probed from the quotient.
     """
     vertices = np.asarray(vertices, dtype=float)
     faces = np.asarray(faces, dtype=np.int64)
-    uf = _UnionFind(len(vertices))
-    for a, b in cKDTree(vertices).query_pairs(r=tol):
-        uf.union(a, b)
-    root = np.array([uf.find(i) for i in range(len(vertices))], dtype=np.int64)
-    keep = np.unique(root)
-    new_id = np.full(len(vertices), -1, dtype=np.int64)
-    new_id[keep] = np.arange(len(keep))
-    fmap = new_id[root[faces]]
+    n = len(vertices)
+    pairs = cKDTree(vertices).query_pairs(r=tol, output_type="ndarray")
+    close = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                          shape=(n, n))
+    # components are labelled in the order of their lowest vertex
+    _, label = connected_components(close, directed=False)
+    _, keep = np.unique(label, return_index=True)
+    fmap = label[faces]
     if np.any((fmap[:, 0] == fmap[:, 1]) | (fmap[:, 1] == fmap[:, 2]) |
               (fmap[:, 0] == fmap[:, 2])):
         raise WeldFailure("a face degenerated under welding; tolerance mismatch")
-    seen = set()
-    kept_faces = []
-    for tri in fmap:
-        key = frozenset(int(t) for t in tri)
-        if key not in seen:
-            seen.add(key)
-            kept_faces.append(tri)
-    fnew = np.array(kept_faces, dtype=np.int64)
-    if orientable is None:
-        orientable = probe_orientability(fnew)
-    nrm = None if vertex_normals is None else vertex_normals[keep]
-    return SurfaceMesh(dimension, vertices[keep], fnew, orientable=orientable,
-                       name=name, vertex_normals=nrm)
+    _, first = np.unique(np.sort(fmap, axis=1), axis=0, return_index=True)
+    fnew = fmap[np.sort(first)]
+    return SurfaceMesh(dimension, vertices[keep], fnew,
+                       orientable=probe_orientability(fnew), name=name)
 
 
 def reduce_to_linear_span(vertices: np.ndarray, tol: float = 1e-8):

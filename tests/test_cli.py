@@ -175,6 +175,8 @@ def test_ambient_emits_residuals_and_trajectories(tmp_path):
     assert lines[0] == "particle_id,tag,t,x0,x1,x2,x3"
     tags = {ln.split(",")[1] for ln in lines[1:]}
     assert tags == {"on_surface", "in_tube", "outside"}
+    # the integrated trajectories are written, not just the seeded positions
+    assert float(lines[-1].split(",")[2]) == 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -237,6 +238,10 @@ def test_heron_345():
     g = M.DiscreteMetric(edges, np.array([3.0, 4.0, 5.0]), M.EUCLIDEAN,
                          np.array([[0, 1, 2]]), 3)
     assert abs(float(M.face_areas(g)[0]) - 6.0) < 1e-13
+    # the order in which the sides come changes no bit of the area
+    for sides in ((3.0, 4.0, 5.0), (1.0, 1.0 + 1e-12, 2e-9)):
+        areas = M._heron(np.array(list(itertools.permutations(sides))))
+        assert np.all(areas == areas[0])
 
 
 def test_triangle_inequality_enforced():

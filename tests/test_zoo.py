@@ -9,9 +9,11 @@ from spherelab.errors import (
 )
 from spherelab.extrinsic import max_mean_curvature
 from spherelab.mesh import (
+    SurfaceMesh,
     angle_defect_curvature,
     euler_characteristic,
     induced_metric,
+    refine,
     total_area,
 )
 from spherelab.zoo import (
@@ -48,6 +50,16 @@ def test_icosphere_counts_and_antipodal_symmetry():
         # the antipode of every vertex is a vertex, exactly
         keys = {tuple(np.round(p, 14)) for p in V}
         assert all(tuple(np.round(-p, 14)) in keys for p in V)
+
+
+def test_icosphere_matches_refine():
+    V, F = icosphere(0)
+    mesh = SurfaceMesh(2, V, F)
+    for level in (1, 2, 3):
+        mesh = refine(mesh)
+        V, F = icosphere(level)
+        assert np.array_equal(V, mesh.vertices)
+        assert np.array_equal(F, mesh.faces)
 
 
 def test_great_sphere_area_is_exact_at_every_level():
@@ -294,10 +306,12 @@ def test_veronese_area_converges():
 def test_weld_merges_offset_copies():
     V, F = icosphere(0)
     V2 = V * (1.0 + 1e-12)
-    welded = weld_vertices(2, np.vstack([V, V2]), np.vstack([F, F + len(V)]),
-                           tol=1e-9)
-    assert welded.n_vertices == len(V)
-    assert welded.n_faces == len(F)
+    # the copy's faces collapse onto the first ones, also with reversed winding
+    for F2 in (F, F[:, ::-1]):
+        welded = weld_vertices(2, np.vstack([V, V2]), np.vstack([F, F2 + len(V)]),
+                               tol=1e-9)
+        assert np.array_equal(welded.vertices, V)
+        assert np.array_equal(welded.faces, F)
 
 
 def test_weld_failure_on_collapsing_tolerance():

@@ -1,0 +1,40 @@
+#!/usr/bin/env bash
+# Run a fixed set of spherelab CLI commands against this checkout's src and
+# write every command's stdout (<step>.out) and every file it writes into
+# OUTDIR.  Two checkouts give output trees that `diff -r` compares, which is
+# how a refactor shows that the CLI output stays byte-identical.
+#
+#   tools/cli_outputs.sh OUTDIR
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUTDIR" >&2
+    exit 2
+fi
+REPO=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$1"
+OUT=$(cd "$1" && pwd)
+cd "$OUT"
+export PYTHONPATH="$REPO/src"
+
+run() {
+    local step=$1
+    shift
+    python -m spherelab.cli "$@" > "$step.out"
+}
+
+run build_sphere build sphere --level 4 -o sphere.mesh.json
+run build_clifford build clifford --nu 64 --nv 64 -o clifford.mesh.json
+run build_tau31 build tau --m 3 --k 1 --nu 64 --nv 16 -o tau31.mesh.json
+run build_veronese build veronese --level 4 -o veronese.mesh.json
+run build_xi21 build xi --config "$REPO/configs/xi21.json" -o xi21.mesh.json
+run build_xi31 build xi --config "$REPO/configs/xi31.json" -o xi31.mesh.json
+
+meshes=(sphere clifford tau31 veronese xi21 xi31)
+for m in "${meshes[@]}"; do
+    run "measure_$m" measure --mesh "$m.mesh.json" -o "$m.measure.csv"
+done
+run table table --meshes "${meshes[@]/%/.mesh.json}" -o table.csv
+
+run flow_tau31 flow --mesh tau31.mesh.json -o tau31.trace.csv
+run flow_veronese flow --mesh veronese.mesh.json -o veronese.trace.csv
