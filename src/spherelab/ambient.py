@@ -21,6 +21,27 @@ faces (radial projections of the flat faces onto the sphere), because the
 exact flow of a surface point moves along the great 2-sphere spanned by
 its face, never along the chordal triangle.
 
+Closest faces come from a k-d tree over face centroids.  The k nearest
+centroids of x0 certify its closest face when cd_k(x0), the k-th centroid
+distance, exceeds d_best(x0) + max_spread (the largest centroid-to-vertex
+distance of any face), since every other face lies at least cd_k - max_spread
+away.  The integrator keeps each particle's certificate across RK4 stages
+and steps: a point x with
+
+    |x - x0| + margin < delta = (cd_k(x0) - max_spread - d_best(x0)) / 2
+
+reuses the candidates of x0 without a tree query, because by the triangle
+inequality every other face stays d_best(x0) + delta away, beyond
+d_best(x) <= d_best(x0) + |x - x0|.  Within a reused set a face with
+centroid c_f and bounding radius r_f is skipped when
+
+    |x0 - c_f| - r_f > max(d_2(x0), d_best(x0) + 1e-9) + 2 (|x - x0| + margin),
+
+d_2 being the runner-up distance: that face is neither the best nor the
+runner-up at x, nor within 1e-9 of the best, so the ambiguity guard still
+sees every near tie.  Exactly tied faces are taken in face order, which
+makes reused and fresh candidate sets give bit-identical answers.
+
 u is interpolated linearly in time between schedule samples; that choice
 is a convention, not a claim.
 """
@@ -53,6 +74,8 @@ __all__ = [
 
 _AMBIGUITY_DIST = 1e-9
 _AMBIGUITY_U = 1e-6
+# absolute allowance for rounding in |x - x0| and delta
+_REUSE_MARGIN = 1e-12
 
 
 def _bump(rho: np.ndarray, eps: float):
@@ -79,12 +102,29 @@ class _FaceCache:
                           np.linalg.norm(self.ac, axis=1))
         diam = np.maximum(diam, np.linalg.norm(self.ab - self.ac, axis=1))
         self.max_diam = float(np.max(diam))
-        # worst centroid-to-vertex distance: certification radius for the
-        # candidate search (any face can beat a centroid by at most this)
-        spread = max(np.linalg.norm(V[F[:, k]] - centroids, axis=1).max()
-                     for k in range(3))
-        self.max_spread = float(spread)
+        # bounding radius of each face about its centroid; the worst one is
+        # the certification radius of the candidate search (any face can
+        # beat its centroid distance by at most this)
+        self.radius = np.max([np.linalg.norm(V[F[:, k]] - centroids, axis=1)
+                              for k in range(3)], axis=0)
+        self.max_spread = float(self.radius.max())
         self.n_faces = len(F)
+
+
+class _CandidateRecord:
+    """Closest-face certificates of moving points (see the module docstring).
+
+    Row i holds the anchor x0 of its last certificate, the candidate faces in
+    face order with lower bounds |x0 - c_f| - r_f (inf as padding), the reach
+    max(d_2(x0), d_best(x0) + 1e-9) and the slack delta (-inf: no record).
+    """
+
+    def __init__(self, n: int, dim: int):
+        self.anchor = np.zeros((n, dim))
+        self.faces = np.zeros((n, 0), dtype=np.int64)
+        self.lower = np.zeros((n, 0))
+        self.reach = np.zeros(n)
+        self.slack = np.full(n, -np.inf)
 
 
 def _closest_on_triangles(P, A, AB, AC):
@@ -146,56 +186,97 @@ def _closest_on_triangles(P, A, AB, AC):
     return cp, bary
 
 
-def _closest_faces(cache: _FaceCache, X: np.ndarray, k: int = 32):
-    """Exact two nearest faces per query point.
+def _closest_faces(cache: _FaceCache, X: np.ndarray, k: int = 32,
+                   _record: _CandidateRecord | None = None):
+    """Exact closest face per query point, and the runner-up among candidates.
 
-    The centroid tree proposes candidates; the answer is certified exact by
-    checking that no unexplored centroid can beat the found distance (an
-    unexplored face's closest point lies at least its centroid distance
-    minus the worst centroid-to-vertex spread away).
+    Returns (face, closest point, barycentric, distance, runner-up distance,
+    runner-up barycentric, runner-up face).  The centroid tree proposes k
+    candidates; a point is certified when its k-th centroid distance exceeds
+    its best distance plus ``max_spread``, and retries with 4k otherwise.
+    With ``_record``, a point with |x - x0| + margin < delta reuses its
+    row's candidates less those with |x0 - c_f| - r_f beyond the reach plus
+    2 (|x - x0| + margin), and every new certificate refreshes its row.
     """
     n = len(X)
+    rec = _CandidateRecord(*X.shape) if _record is None else _record
     out_face = np.empty(n, dtype=np.int64)
     out_cp = np.empty((n, X.shape[1]))
     out_bary = np.empty((n, 3))
     out_dist = np.empty(n)
     out_dist2 = np.empty(n)
-    out_cp2 = np.empty((n, X.shape[1]))
+    out_bary2 = np.empty((n, 3))
     out_face2 = np.empty(n, dtype=np.int64)
-    pending = np.arange(n)
-    while len(pending):
-        k_eff = min(k, cache.n_faces)
-        cd, ci = cache.tree.query(X[pending], k=k_eff)
-        cd = np.atleast_2d(cd)
-        ci = np.atleast_2d(ci)
-        m = len(pending)
-        flatP = np.repeat(X[pending], k_eff, axis=0)
-        flatF = ci.ravel()
-        cp, bary = _closest_on_triangles(flatP, cache.v0[flatF],
-                                         cache.ab[flatF], cache.ac[flatF])
-        dist = np.linalg.norm(flatP - cp, axis=1).reshape(m, k_eff)
-        order = np.argsort(dist, axis=1)
-        best = order[:, 0]
-        second = order[:, 1] if k_eff > 1 else best
-        rows = np.arange(m)
-        # certified when every unexplored centroid is provably farther
-        certified = (k_eff == cache.n_faces) | \
-            (cd[:, -1] > dist[rows, best] + cache.max_spread)
-        sel = pending[certified]
-        bsel = best[certified]
-        rsel = rows[certified]
-        out_face[sel] = ci[rsel, bsel]
-        idx_flat = rsel * k_eff + bsel
-        out_cp[sel] = cp[idx_flat]
-        out_bary[sel] = bary[idx_flat]
-        out_dist[sel] = dist[rsel, bsel]
-        s2 = second[certified]
-        out_dist2[sel] = dist[rsel, s2]
-        out_cp2[sel] = cp[rsel * k_eff + s2]
-        out_face2[sel] = ci[rsel, s2]
-        pending = pending[~certified]
+    drift = np.linalg.norm(X - rec.anchor, axis=1) + _REUSE_MARGIN
+    rows = np.arange(n)
+    while len(rows):
+        # rows within their slack take their recorded candidates; a row left
+        # for a later round kept the record that sent it to the tree
+        k_eff, w = min(k, cache.n_faces), rec.faces.shape[1]
+        query = ~(drift[rows] < rec.slack[rows])
+        asked, kept = rows[query], rows[~query]
+        cand = np.zeros((len(rows), max(k_eff, w)), dtype=np.int64)
+        keep = np.zeros(cand.shape, dtype=bool)
+        cand[~query, :w] = rec.faces[kept]
+        keep[~query, :w] = rec.lower[kept] <= \
+            (rec.reach + 2.0 * drift)[kept, None]
+        cd, ci = cache.tree.query(X[asked], k=k_eff)
+        cd, ci = cd.reshape(-1, k_eff), ci.reshape(-1, k_eff)
+        cd_k = cd[:, -1]
+        # in face order the first of exactly tied distances is the same in
+        # every candidate set that holds them, reused or fresh
+        by_face = np.argsort(ci, axis=1)
+        cand[query, :k_eff] = ci = np.take_along_axis(ci, by_face, axis=1)
+        cd = np.take_along_axis(cd, by_face, axis=1)
+        keep[query, :k_eff] = True
+        # one triangle test per kept (point, candidate) pair
+        rr, cc = np.nonzero(keep)
+        P = X[rows[rr]]
+        F = cand[rr, cc]
+        cp, bary = _closest_on_triangles(P, cache.v0[F], cache.ab[F],
+                                         cache.ac[F])
+        dist = np.full(keep.shape, np.inf)
+        dist[rr, cc] = np.linalg.norm(P - cp, axis=1)
+        flat = np.zeros(keep.shape, dtype=np.int64)
+        flat[rr, cc] = np.arange(len(rr))
+        local = np.arange(len(rows))
+        best = np.argmin(dist, axis=1)
+        d_best = dist[local, best]
+        dist[local, best] = np.inf
+        second = np.argmin(dist, axis=1)
+        d_second = dist[local, second]
+        certified = np.ones(len(rows), dtype=bool)
+        if k_eff < cache.n_faces:
+            certified[query] = cd_k > d_best[query] + cache.max_spread
+
+        new = certified[query]
+        slot, d0 = asked[new], d_best[query][new]
+        if k_eff > rec.faces.shape[1]:
+            pad = ((0, 0), (0, k_eff - rec.faces.shape[1]))
+            rec.faces = np.pad(rec.faces, pad)
+            rec.lower = np.pad(rec.lower, pad, constant_values=np.inf)
+        rec.anchor[slot] = X[slot]
+        rec.faces[slot, :k_eff] = ci[new]
+        rec.lower[slot] = np.inf
+        rec.lower[slot, :k_eff] = cd[new] - cache.radius[ci[new]]
+        rec.reach[slot] = np.maximum(d_second[query][new],
+                                     d0 + _AMBIGUITY_DIST)
+        rec.slack[slot] = np.inf if k_eff == cache.n_faces else \
+            0.5 * (cd_k[new] - cache.max_spread - d0)
+
+        sel, lsel = rows[certified], local[certified]
+        bsel, s2 = best[certified], second[certified]
+        out_face[sel] = cand[lsel, bsel]
+        out_cp[sel] = cp[flat[lsel, bsel]]
+        out_bary[sel] = bary[flat[lsel, bsel]]
+        out_dist[sel] = d_best[certified]
+        out_dist2[sel] = d_second[certified]
+        out_bary2[sel] = bary[flat[lsel, s2]]
+        out_face2[sel] = cand[lsel, s2]
+        rows = rows[~certified]
         k *= 4
-    return out_face, out_cp, out_bary, out_dist, out_dist2, out_cp2, out_face2
+    return (out_face, out_cp, out_bary, out_dist, out_dist2, out_bary2,
+            out_face2)
 
 
 @dataclass(frozen=True)
@@ -212,6 +293,8 @@ class TubeField:
     epsilon: float
     bump: object = _bump
     _cache: object = dataclass_field(default=None, compare=False, repr=False)
+    _times: object = dataclass_field(default=None, init=False, compare=False,
+                                     repr=False)
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -223,6 +306,7 @@ class TubeField:
             if len(u) != self.source_mesh.n_vertices:
                 raise ValueError("schedule field does not match the mesh")
         object.__setattr__(self, "_cache", _FaceCache(self.source_mesh))
+        object.__setattr__(self, "_times", np.array(times, dtype=float))
 
     @classmethod
     def from_flow(cls, mesh: SurfaceMesh, u_final: np.ndarray,
@@ -242,7 +326,7 @@ class TubeField:
         return cls(mesh, schedule, float(epsilon))
 
     def u_at(self, t: float) -> np.ndarray:
-        times = [s for s, _ in self.u_schedule]
+        times = self._times
         if t <= times[0]:
             return self.u_schedule[0][1]
         if t >= times[-1]:
@@ -254,13 +338,15 @@ class TubeField:
         return (1 - w) * u0 + w * u1
 
 
-def _field_batch(field: TubeField, X: np.ndarray, t: float):
+def _field_batch(field: TubeField, X: np.ndarray, t: float,
+                 _record: _CandidateRecord | None = None):
     """(values, ambient gradients) of the tube field at a batch of points.
 
     The gradient is the exact derivative of the implemented value: the
     closest-point map contributes the face (or edge) Jacobian, the cutoff
     contributes its radial term, and the result is projected tangent to the
-    sphere at each query point.
+    sphere at each query point.  Points at distance 2 epsilon or more get
+    exact zeros.  ``_record`` is passed on to ``_closest_faces``.
     """
     cache = field._cache
     eps = field.epsilon
@@ -268,35 +354,30 @@ def _field_batch(field: TubeField, X: np.ndarray, t: float):
     values = np.zeros(n)
     grads = np.zeros_like(X)
 
-    # quick reject: points provably beyond the outer shell
-    cd1, _ = cache.tree.query(X, k=1)
-    live = cd1 - cache.max_diam < 2.0 * eps
+    nearest = _closest_faces(cache, X, _record=_record)
+    live = nearest[3] < 2.0 * eps
     if not np.any(live):
         return values, grads
     Xl = X[live]
-    fi, cp, bary, dist, dist2, cp2, fi2 = _closest_faces(cache, Xl)
+    fi, cp, bary, dist, dist2, bary2, fi2 = (a[live] for a in nearest)
 
     u = field.u_at(t)
-    inside = dist < 2.0 * eps
-    close_pair = dist2 - dist < _AMBIGUITY_DIST
-    if np.any(inside & close_pair):
+    tie = np.flatnonzero(dist2 - dist < _AMBIGUITY_DIST)
+    if len(tie):
         # Ties between faces sharing a vertex are the continuous edge /
         # vertex crossings of the closest-point map, not an ambiguity.
         # The guard is for distinct sheets (medial-axis contact) where the
         # extension would be genuinely multi-valued.
-        V, F = field.source_mesh.vertices, cache.faces
-        check = np.flatnonzero(inside & close_pair)
-        for i in check:
-            fa, fb = int(fi[i]), int(fi2[i])
-            if fa == fb or set(F[fa]) & set(F[fb]):
-                continue
-            ua = _face_value(V, F, u, fa, cp[i])
-            ub = _face_value(V, F, u, fb, cp2[i])
-            if abs(ua - ub) > _AMBIGUITY_U:
-                raise ClosestPointAmbiguous(
-                    f"two non-adjacent faces within {_AMBIGUITY_DIST} of a "
-                    f"query point disagree on u by {abs(ua - ub):.3e}; "
-                    f"shrink epsilon")
+        fa, fb = cache.faces[fi[tie]], cache.faces[fi2[tie]]
+        apart = ~(fa[:, :, None] == fb[:, None, :]).any(axis=(1, 2))
+        gap = np.abs(np.sum(bary[tie] * u[fa], axis=1)
+                     - np.sum(bary2[tie] * u[fb], axis=1))
+        gap = gap[apart & (gap > _AMBIGUITY_U)]
+        if len(gap):
+            raise ClosestPointAmbiguous(
+                f"two non-adjacent faces within {_AMBIGUITY_DIST} of a "
+                f"query point disagree on u by {gap[0]:.3e}; "
+                f"shrink epsilon")
 
     F = cache.faces[fi]
     u0, u1, u2 = u[F[:, 0]], u[F[:, 1]], u[F[:, 2]]
@@ -344,16 +425,6 @@ def _field_batch(field: TubeField, X: np.ndarray, t: float):
     values[live] = vals
     grads[live] = total
     return values, grads
-
-
-def _face_value(V, F, u, f, point):
-    """Linear interpolation of u over face f at an in-face point."""
-    a, b, c = F[f]
-    e0, e1 = V[b] - V[a], V[c] - V[a]
-    m = np.array([[e0 @ e0, e0 @ e1], [e0 @ e1, e1 @ e1]])
-    rhs = np.array([e0 @ (point - V[a]), e1 @ (point - V[a])])
-    s, t = np.linalg.solve(m, rhs)
-    return (1 - s - t) * u[a] + s * u[b] + t * u[c]
 
 
 def evaluate_tube_field(field: TubeField, x: AmbientPoint, t: float):
@@ -434,13 +505,13 @@ def build_ensemble(field: TubeField, n_surface: int = 20, n_tube: int = 20,
 def _gradient_bound(field: TubeField) -> float:
     """Analytic bound on |grad phi| over space and schedule times."""
     worst = 0.0
+    cache = field._cache
+    F = field.source_mesh.faces
+    lens = np.stack([np.linalg.norm(cache.ab, axis=1),
+                     np.linalg.norm(cache.ac, axis=1)])
     for _, u in field.u_schedule:
         umax = float(np.max(np.abs(u)))
-        cache = field._cache
-        F = field.source_mesh.faces
         du = np.stack([u[F[:, 1]] - u[F[:, 0]], u[F[:, 2]] - u[F[:, 0]]])
-        lens = np.stack([np.linalg.norm(cache.ab, axis=1),
-                         np.linalg.norm(cache.ac, axis=1)])
         gbound = float(np.max(np.sum(np.abs(du) / lens, axis=0), initial=0.0))
         worst = max(worst, umax * 1.875 / field.epsilon + gbound)
     return worst
@@ -463,13 +534,17 @@ def integrate_palais_flow(field: TubeField, ensemble: ParticleEnsemble,
     X = ensemble.positions.copy()
     log = list(ensemble.log)
     steps = int(np.ceil(t_end / dt - 1e-12))
+    # closest-face certificates carried across stages and steps
+    rec = _CandidateRecord(*X.shape)
     t = 0.0
     for _ in range(steps):
         h = min(dt, t_end - t)
-        _, k1 = _field_batch(field, X, t)
-        _, k2 = _field_batch(field, _reproject(X + 0.5 * h * k1), t + 0.5 * h)
-        _, k3 = _field_batch(field, _reproject(X + 0.5 * h * k2), t + 0.5 * h)
-        _, k4 = _field_batch(field, _reproject(X + h * k3), t + h)
+        _, k1 = _field_batch(field, X, t, rec)
+        _, k2 = _field_batch(field, _reproject(X + 0.5 * h * k1), t + 0.5 * h,
+                             rec)
+        _, k3 = _field_batch(field, _reproject(X + 0.5 * h * k2), t + 0.5 * h,
+                             rec)
+        _, k4 = _field_batch(field, _reproject(X + h * k3), t + h, rec)
         moved = (np.abs(k1).max(axis=1) + np.abs(k2).max(axis=1)
                  + np.abs(k3).max(axis=1) + np.abs(k4).max(axis=1)) > 0.0
         Xn = X[moved] + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)[moved]

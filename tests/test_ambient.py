@@ -1,13 +1,18 @@
 """Tube-field extension and the ambient particle flow."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.spatial import cKDTree
 
 from spherelab.ambient import (
     ParticleEnsemble,
     TubeField,
     _bump,
+    _CandidateRecord,
+    _FaceCache,
     _closest_faces,
     _closest_on_triangles,
     _field_batch,
@@ -64,6 +69,13 @@ def test_bump_profile_plateau_support_and_slope():
         assert abs(fd) < 1e-5
 
 
+def _all_face_distances(cache, x):
+    cp_all, _ = _closest_on_triangles(
+        np.repeat(x[None], cache.n_faces, axis=0), cache.v0, cache.ab,
+        cache.ac)
+    return np.linalg.norm(x - cp_all, axis=1)
+
+
 def test_closest_point_matches_brute_force():
     mesh = clifford_torus(12)
     field = TubeField(mesh, ((0.0, np.zeros(mesh.n_vertices)),), 0.2)
@@ -71,14 +83,72 @@ def test_closest_point_matches_brute_force():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((40, 4))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
-    _, cp, _, dist, dist2, _, _ = _closest_faces(cache, X)
+
+    def check(Y, label, record=None):
+        _, _, _, dist, dist2, _, _ = _closest_faces(cache, Y, _record=record)
+        for i, y in enumerate(Y):
+            d_all = np.sort(_all_face_distances(cache, y))
+            assert abs(dist[i] - d_all[0]) < 1e-12, f"{label} {i} best"
+            assert abs(dist2[i] - d_all[1]) < 1e-12, f"{label} {i} runner-up"
+
+    check(X, "point")
+
+    # certificates: every face outside a record is at least 2 slack farther
+    # than the best face, which is what makes reuse within slack exact
+    rec = _CandidateRecord(*X.shape)
+    check(X, "certified point", rec)
+    assert np.array_equal(rec.anchor, X) and np.all(rec.slack > 0)
     for i, x in enumerate(X):
-        cp_all, _ = _closest_on_triangles(
-            np.repeat(x[None], mesh.n_faces, axis=0), cache.v0, cache.ab,
-            cache.ac)
-        d_all = np.sort(np.linalg.norm(x - cp_all, axis=1))
-        assert abs(dist[i] - d_all[0]) < 1e-12, f"point {i} best distance"
-        assert abs(dist2[i] - d_all[1]) < 1e-12, f"point {i} runner-up"
+        d_all = _all_face_distances(cache, x)
+        outside = np.ones(cache.n_faces, dtype=bool)
+        outside[rec.faces[i][np.isfinite(rec.lower[i])]] = False
+        assert d_all.min() + 2 * rec.slack[i] <= d_all[outside].min(), \
+            f"point {i}: slack {rec.slack[i]} is not certified"
+
+    # moved by less than the slack: candidates reused, anchors kept;
+    # moved by more: searched again, anchors refreshed
+    v = rng.standard_normal(X.shape)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    for scale in (1e-3, 0.3, 0.9):
+        check(X + scale * rec.slack[:, None] * v, f"point reused at {scale}",
+              rec)
+        assert np.array_equal(rec.anchor, X)
+    far = X + 1.5 * rec.slack[:, None] * v
+    check(far, "re-searched point", rec)
+    assert np.array_equal(rec.anchor, far)
+
+
+def test_pruning_keeps_the_runner_up_of_a_reused_set():
+    # Faces B and C point a vertex at x0 along the line through their
+    # centroids, so |x - c_f| - r_f is their exact distance from points on
+    # that line and the pruning bound is tight there.  Three faces make
+    # every candidate set complete, so the record is always reused.
+    def spike(tip, u, r=0.5, w=0.3):
+        mid = tip + 1.5 * r * u
+        side = w * np.cross(u, [0.0, 0.0, 1.0])
+        return [tip, mid + side, mid - side]
+
+    x0 = np.array([0.0, 0.0, 1.0])
+    ex = np.array([1.0, 0.0, 0.0])
+    s, tiny = 0.1, 1e-4
+    V = np.array([[-3.0, -3.0, 0.0], [3.0, -3.0, 0.0], [0.0, 3.0, 0.0]]
+                 + spike(x0 - 1.3 * ex, -ex)
+                 + spike(x0 + (1.3 + 2 * s - tiny) * ex, ex))
+    cache = _FaceCache(SimpleNamespace(vertices=V,
+                                       faces=np.arange(9).reshape(3, 3)))
+    rec = _CandidateRecord(1, 3)
+    _closest_faces(cache, x0[None], _record=rec)
+    assert rec.slack[0] == np.inf
+    # moving s toward C brings it to 1.3 + s - tiny, under B at 1.3 + s
+    x = x0 + s * ex
+    face, _, _, dist, dist2, _, face2 = _closest_faces(cache, x[None],
+                                                       _record=rec)
+    assert np.array_equal(rec.anchor[0], x0), "the record must be reused"
+    assert (face[0], face2[0]) == (0, 2)
+    d_all = np.sort(_all_face_distances(cache, x))
+    assert abs(dist[0] - d_all[0]) < 1e-12
+    assert abs(dist2[0] - d_all[1]) < 1e-12
+    assert abs(dist2[0] - (1.3 + s - tiny)) < 1e-12
 
 
 def test_gradient_is_exact_derivative_of_value():
@@ -128,6 +198,74 @@ def test_field_vanishes_identically_beyond_outer_shell():
     vals, grads = _field_batch(field, np.array(far), 0.9)
     assert np.all(vals == 0.0)
     assert np.all(grads == 0.0)
+
+
+def _reference_rk4(field, X, t_end, dt):
+    """integrate_palais_flow's loop, searching closest faces afresh."""
+    def unit(Y):
+        return Y / np.linalg.norm(Y, axis=1, keepdims=True)
+
+    X = X.copy()
+    t = 0.0
+    for _ in range(int(np.ceil(t_end / dt - 1e-12))):
+        h = min(dt, t_end - t)
+        _, k1 = _field_batch(field, X, t)
+        _, k2 = _field_batch(field, unit(X + 0.5 * h * k1), t + 0.5 * h)
+        _, k3 = _field_batch(field, unit(X + 0.5 * h * k2), t + 0.5 * h)
+        _, k4 = _field_batch(field, unit(X + h * k3), t + h)
+        moved = (np.abs(k1).max(axis=1) + np.abs(k2).max(axis=1)
+                 + np.abs(k3).max(axis=1) + np.abs(k4).max(axis=1)) > 0.0
+        Xn = X[moved] + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)[moved]
+        X[moved] = unit(Xn)
+        t += h
+    return X
+
+
+def test_candidate_reuse_keeps_the_flow_bit_exact(monkeypatch):
+    mesh, _, field = _flow_field()
+    dt = 0.5 * field.epsilon / (4.0 * _gradient_bound(field))
+    t_end = 40 * dt
+    ens = build_ensemble(field, 8, 8, 8, seed=5)
+    carrier = ParticleEnsemble(mesh.vertices.copy(),
+                               ["vertex"] * mesh.n_vertices, [])
+    tree = field._cache.tree
+    asked = []
+
+    class CountingTree:
+        def query(self, X, k):
+            asked.append(len(X))
+            return tree.query(X, k=k)
+
+    for start in (ens, carrier):
+        expected = _reference_rk4(field, start.positions, t_end, dt)
+        monkeypatch.setattr(field._cache, "tree", CountingTree())
+        asked.clear()
+        out = integrate_palais_flow(field, start, t_end, dt)
+        monkeypatch.setattr(field._cache, "tree", tree)
+        assert np.array_equal(out.positions, expected)
+        stages = 4 * 40 * len(start.positions)
+        assert sum(asked) < 0.1 * stages, "candidates were not reused"
+        assert np.abs(out.positions - start.positions).max() > 1e-4, \
+            "the particles must really move"
+
+
+def test_coincident_vertices_of_uniform_tau_evaluate():
+    # uniform tau_{3,1} covers one great circle three times: 24 vertex pairs
+    # coincide, so faces of another sheet lie at distance 0 from a vertex
+    mesh = lawson_tau(3, 1, 24, 6)
+    pairs = cKDTree(mesh.vertices).query_pairs(1e-12)
+    assert len(pairs) == 24
+    _, u = run_uniformization(mesh, tol=1e-4)
+    field = TubeField.from_flow(mesh, u.values)
+    face, _, _, dist, dist2, _, face2 = _closest_faces(field._cache,
+                                                       mesh.vertices)
+    fa, fb = mesh.faces[face], mesh.faces[face2]
+    apart = ~(fa[:, :, None] == fb[:, None, :]).any(axis=(1, 2))
+    assert np.any(apart & (dist2 - dist < 1e-9)), \
+        "the ambiguity guard must compare faces of two sheets"
+    for t in (0.0, 0.5, 1.0):
+        vals, _ = _field_batch(field, mesh.vertices, t)
+        assert np.all(np.isfinite(vals))
 
 
 def test_outside_particles_never_move():

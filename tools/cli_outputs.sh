@@ -29,6 +29,7 @@ run build_tau31 build tau --m 3 --k 1 --nu 64 --nv 16 -o tau31.mesh.json
 run build_veronese build veronese --level 4 -o veronese.mesh.json
 run build_xi21 build xi --config "$REPO/configs/xi21.json" -o xi21.mesh.json
 run build_xi31 build xi --config "$REPO/configs/xi31.json" -o xi31.mesh.json
+run build_tau24 build tau --m 3 --k 1 --nu 24 --nv 6 -o tau24.mesh.json
 
 meshes=(sphere clifford tau31 veronese xi21 xi31)
 for m in "${meshes[@]}"; do
@@ -38,3 +39,4 @@ run table table --meshes "${meshes[@]/%/.mesh.json}" -o table.csv
 
 run flow_tau31 flow --mesh tau31.mesh.json -o tau31.trace.csv
 run flow_veronese flow --mesh veronese.mesh.json -o veronese.trace.csv
+run ambient_tau24 ambient --mesh tau24.mesh.json --t-end 0.1 --out-dir ambient
