@@ -85,7 +85,9 @@ def _built_mesh(args):
     if args.surface == "veronese":
         return veronese_rp2(args.level)
     if args.surface == "bipolar":
-        return bipolar(lawson_tau(args.m, args.k, args.nu, args.nv)).mesh
+        # tau_{3,1} welds only on the grid its deck maps permute
+        sampling = "bipolar" if (args.m, args.k) == (3, 1) else "uniform"
+        return bipolar(lawson_tau(args.m, args.k, args.nu, args.nv, sampling)).mesh
     raise ValueError(f"unknown builder: {args.surface}")
 
 

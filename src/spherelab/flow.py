@@ -17,6 +17,10 @@ triangle violates the triangle inequality or the Lyapunov energy
 int (s - s_bar)^2 dmu increases, grow by 1.2 after five straight accepted
 steps.  Combinatorics are frozen (no edge flips), a documented limitation
 for extreme conformal factors.
+
+Cost model: one curvature evaluation per attempted step.  A FlowState
+carries the curvature s_i and dual areas A_i of its metric; a step evaluates
+only its candidate, which the Lyapunov test and the trace then read.
 """
 
 from __future__ import annotations
@@ -51,39 +55,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FlowState:
-    """One instant of the flow: factors, scaled metric, and diagnostics."""
+    """One instant of the flow; ``s`` and ``dual`` are the curvature and
+    dual areas of ``metric``, the diagnostics measure s against the target."""
 
     u: VertexField
     metric: DiscreteMetric
     time: float
     area: float
     curvature_dev: float
+    lyapunov: float
+    s: np.ndarray
+    dual: np.ndarray
 
 
 @dataclass(frozen=True)
 class FlowTrace:
-    """Sampled history of a flow run.
+    """History of a flow run: one CSV-facing record per accepted step,
+    including step index, dt and the Lyapunov energy."""
 
-    ``samples`` holds (time, area, curvature_dev, total_scalar,
-    willmore_proxy, min_triangle_slack) per accepted step; ``rows`` holds
-    the CSV-facing records including step index, dt and the Lyapunov
-    energy.
-    """
-
-    samples: list
     rows: list
 
     def check_invariants(self):
-        areas = np.array([s[1] for s in self.samples])
-        scal = np.array([s[3] for s in self.samples])
+        areas = np.array([r["area"] for r in self.rows])
+        scal = np.array([r["total_scalar"] for r in self.rows])
         if np.max(np.abs(areas / areas[0] - 1.0)) > 1e-9:
             raise ValueError("area drifts along the trace")
         if np.max(np.abs(scal - scal[0])) > 1e-9 * max(1.0, abs(scal[0])):
             raise ValueError("total scalar curvature drifts along the trace")
-
-
-def _min_slack(metric: DiscreteMetric) -> float:
-    return float(np.min(_triangle_slacks(metric.face_corner_lengths)))
 
 
 def conformal_lengths(base: DiscreteMetric, u: VertexField) -> DiscreteMetric:
@@ -108,12 +106,27 @@ def conformal_lengths(base: DiscreteMetric, u: VertexField) -> DiscreteMetric:
 
 
 def _curvature(mesh: SurfaceMesh, metric: DiscreteMetric):
-    """(s_i, A_i, area) of an Euclidean-law metric, by angle defect."""
+    """(s_i, A_i) of an Euclidean-law metric, by angle defect."""
     from .mesh import angle_defect_curvature
 
-    s = angle_defect_curvature(mesh, metric).values
-    A = vertex_dual_areas(mesh, metric).values
-    return s, A, float(np.sum(face_areas(metric)))
+    A = vertex_dual_areas(mesh, metric)
+    return angle_defect_curvature(mesh, metric, _dual=A).values, A.values
+
+
+def _evaluated(mesh: SurfaceMesh, u: np.ndarray, metric: DiscreteMetric,
+               time: float, area: float, target: float) -> FlowState:
+    """The state at factors u: the one curvature evaluation of ``metric``."""
+    s, A = _curvature(mesh, metric)
+    return FlowState(VertexField(u), metric, time, area,
+                     float(np.max(np.abs(s - target))),
+                     float(np.sum((s - target) ** 2 * A)), s, A)
+
+
+def _initial_state(mesh: SurfaceMesh, base: DiscreteMetric):
+    """(state at u = 0, target curvature s_bar = 4 pi chi / a)."""
+    area = float(np.sum(face_areas(base)))
+    target = 4.0 * np.pi * euler_characteristic(mesh) / area
+    return _evaluated(mesh, np.zeros(mesh.n_vertices), base, 0.0, area, target), target
 
 
 def _renormalized(mesh: SurfaceMesh, base: DiscreteMetric, u: np.ndarray,
@@ -139,14 +152,12 @@ def flow_step(state: FlowState, dt: float, target: float, mesh: SurfaceMesh,
               base: DiscreteMetric) -> FlowState:
     """One explicit Euler step toward curvature ``target``, area-preserving.
 
+    Steps from ``state.s`` and evaluates the candidate's curvature once.
     Propagates TriangleViolation untouched so the driver can shrink dt.
     """
-    s, _, _ = _curvature(mesh, state.metric)
-    u = state.u.values + dt * (target - s)
+    u = state.u.values + dt * (target - state.s)
     u, metric = _renormalized(mesh, base, u, state.area)
-    s2, _, area2 = _curvature(mesh, metric)
-    dev = float(np.max(np.abs(s2 - target)))
-    return FlowState(VertexField(u), metric, state.time + dt, state.area, dev)
+    return _evaluated(mesh, u, metric, state.time + dt, state.area, target)
 
 
 def run_uniformization(mesh: SurfaceMesh, tol: float = 1e-4,
@@ -155,68 +166,52 @@ def run_uniformization(mesh: SurfaceMesh, tol: float = 1e-4,
 
     Returns (FlowTrace, final u).  Curvature target is s_bar = 4 pi chi / a
     with a the Euclidean-law area of the induced metric (for chi = 0 the
-    target is exactly zero).  Raises NonConvergence — with the trace
-    attached — when the step budget or the dt floor is exhausted.
+    target is exactly zero).  Raises NonConvergence, carrying the trace and the
+    last accepted state, when the step budget or the dt floor is exhausted.
     """
     if not mesh.is_closed:
         raise ValueError("the flow runs on closed meshes")
     base = induced_metric(mesh).as_euclidean()
-    chi = euler_characteristic(mesh)
-    s, A, area = _curvature(mesh, base)
-    target = 4.0 * np.pi * chi / area
-    u = np.zeros(mesh.n_vertices)
-    state = FlowState(VertexField(u), base, 0.0, area,
-                      float(np.max(np.abs(s - target))))
-    lyap = float(np.sum((s - target) ** 2 * A))
+    state, target = _initial_state(mesh, base)
     dt = 0.1 / max(state.curvature_dev, 1e-30)
 
-    samples, rows = [], []
+    rows = []
 
-    def record(step, st, dtv, ly):
-        s_i, A_i, _ = _curvature(mesh, st.metric)
-        total = float(np.sum(s_i * A_i))
-        samples.append((st.time, st.area, st.curvature_dev, total,
-                        4.0 * st.area, _min_slack(st.metric)))
+    def record(step, st, dtv):
         rows.append({"step": step, "time": st.time, "dt": dtv, "area": st.area,
-                     "curvature_dev": st.curvature_dev, "total_scalar": total,
-                     "willmore_proxy": 4.0 * st.area, "lyapunov": ly})
+                     "curvature_dev": st.curvature_dev,
+                     "total_scalar": float(np.sum(st.s * st.dual)),
+                     "willmore_proxy": 4.0 * st.area, "lyapunov": st.lyapunov})
 
-    record(0, state, 0.0, lyap)
+    record(0, state, 0.0)
     accepted_run = 0
     for step in range(1, max_steps + 1):
         if state.curvature_dev < tol:
             break
+        cause = "Lyapunov increases"
         try:
             cand = flow_step(state, dt, target, mesh, base)
         except TriangleViolation:
+            cand, cause = None, "triangle violations"
+        if cand is None or cand.lyapunov > state.lyapunov * (1.0 + 1e-12):
             dt *= 0.5
             accepted_run = 0
             if dt < 1e-14:
-                raise NonConvergence("dt collapsed under triangle violations",
-                                     trace=FlowTrace(samples, rows))
+                raise NonConvergence(f"dt collapsed under {cause}",
+                                     trace=FlowTrace(rows), state=state)
             continue
-        s_i, A_i, _ = _curvature(mesh, cand.metric)
-        cand_lyap = float(np.sum((s_i - target) ** 2 * A_i))
-        if cand_lyap > lyap * (1.0 + 1e-12):
-            dt *= 0.5
-            accepted_run = 0
-            if dt < 1e-14:
-                raise NonConvergence("dt collapsed under Lyapunov increases",
-                                     trace=FlowTrace(samples, rows))
-            continue
-        state, lyap = cand, cand_lyap
+        state = cand
         accepted_run += 1
         if accepted_run >= 5:
             dt *= 1.2
             accepted_run = 0
-        record(step, state, dt, lyap)
+        record(step, state, dt)
     else:
-        trace = FlowTrace(samples, rows)
         raise NonConvergence(
             f"curvature_dev = {state.curvature_dev:.3e} after {max_steps} steps",
-            trace=trace)
+            trace=FlowTrace(rows), state=state)
 
-    trace = FlowTrace(samples, rows)
+    trace = FlowTrace(rows)
     trace.check_invariants()
     return trace, VertexField(state.u.values.copy())
 

@@ -317,7 +317,9 @@ def _triangle_slacks(corner_lengths: np.ndarray) -> np.ndarray:
     the longest side: scale-free, so every metric and the conformal flow
     reject a face at the same ``_TRIANGLE_SLACK``."""
     a, b, c = corner_lengths[:, 0], corner_lengths[:, 1], corner_lengths[:, 2]
-    return np.minimum.reduce([b + c - a, c + a - b, a + b - c]) / np.max(corner_lengths, axis=1)
+    # min and max do no arithmetic, so no bit depends on the pairing order
+    return (np.minimum(np.minimum(b + c - a, c + a - b), a + b - c)
+            / np.maximum(np.maximum(a, b), c))
 
 
 @dataclass(frozen=True)
@@ -447,12 +449,13 @@ def total_area(mesh: SurfaceMesh, metric: DiscreteMetric) -> float:
     return float(np.sum(face_areas(metric)))
 
 
-def angle_defect_curvature(mesh: SurfaceMesh, metric: DiscreteMetric) -> VertexField:
+def angle_defect_curvature(mesh: SurfaceMesh, metric: DiscreteMetric, *,
+                           _dual: VertexField | None = None) -> VertexField:
     """Discrete scalar curvature s_i = 2 * defect_i / A_i (plus the spherical
     face-interior share, see the module docstring).
 
     Interior vertices use the 2*pi defect; boundary vertices (Plateau
-    patches) use pi.
+    patches) use pi.  ``_dual`` passes this metric's vertex_dual_areas in.
     """
     _check_pair(mesh, metric)
     ang = face_angles(metric)
@@ -460,7 +463,7 @@ def angle_defect_curvature(mesh: SurfaceMesh, metric: DiscreteMetric) -> VertexF
     np.add.at(angle_sum, mesh.faces.ravel(), ang.ravel())
     full = np.where(mesh.boundary_vertex_mask, np.pi, 2.0 * np.pi)
     defect = full - angle_sum
-    dual = vertex_dual_areas(mesh, metric).values
+    dual = (_dual or vertex_dual_areas(mesh, metric)).values
     s = 2.0 * defect / dual
     if metric.convention == SPHERICAL:
         s = s + 2.0

@@ -48,6 +48,21 @@ def test_build_veronese_is_nonorientable_chi_one(tmp_path):
     assert "chi=1" in out and "orientable=False" in out
 
 
+def test_build_bipolar_welds_the_adapted_tau31_grid(tmp_path):
+    rc, out, err = run_cli(["build", "bipolar", "--nu", "32", "--nv", "10",
+                            "-o", "bipolar.mesh.json"], tmp_path)
+    assert rc == 0, err
+    assert "chi=0" in out and "orientable=False" in out
+    assert load_mesh(tmp_path / "bipolar.mesh.json").is_closed
+
+
+def test_build_bipolar_default_grid_names_the_sampling_constraint(tmp_path):
+    # the default 64x64 grid has nv = 0 mod 4, which the deck maps do not permute
+    rc, _, err = run_cli(["build", "bipolar"], tmp_path)
+    assert rc == 2
+    assert "nv = 2 mod 4" in err
+
+
 def test_build_xi_reports_genus_two(tmp_path):
     rc, out, _ = run_cli(
         ["build", "xi", "--config", XI_CONFIG, "-o", "xi.mesh.json"], tmp_path)

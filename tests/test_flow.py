@@ -3,7 +3,7 @@ import pytest
 
 from spherelab.errors import DegenerateTriangle, NonConvergence, TriangleViolation
 from spherelab.flow import (
-    FlowState,
+    _initial_state,
     conformal_lengths,
     flow_step,
     run_uniformization,
@@ -14,6 +14,8 @@ from spherelab.mesh import (
     DiscreteMetric,
     SurfaceMesh,
     VertexField,
+    angle_defect_curvature,
+    euler_characteristic,
     face_areas,
     induced_metric,
     vertex_dual_areas,
@@ -105,11 +107,8 @@ def test_triangle_guards_agree_at_every_scale(scale, slack, valid):
 def test_flat_torus_is_a_fixed_point():
     m = clifford_torus(16)
     base = _euclidean_base(m)
-    from spherelab.flow import _curvature
-
-    s, _, area = _curvature(m, base)
-    state = FlowState(VertexField(np.zeros(m.n_vertices)), base, 0.0, area,
-                      float(np.max(np.abs(s))))
+    state, target = _initial_state(m, base)
+    assert target == 0.0
     stepped = flow_step(state, 0.01, 0.0, m, base)
     assert np.max(np.abs(stepped.u.values)) < 1e-10
     assert stepped.curvature_dev < 1e-9
@@ -118,11 +117,8 @@ def test_flat_torus_is_a_fixed_point():
 def test_one_step_decreases_curvature_deviation():
     m = lawson_tau(3, 1, 32, 8)
     base = _euclidean_base(m)
-    from spherelab.flow import _curvature
-
-    s, _, area = _curvature(m, base)
-    state = FlowState(VertexField(np.zeros(m.n_vertices)), base, 0.0, area,
-                      float(np.max(np.abs(s))))
+    state, target = _initial_state(m, base)
+    assert target == 0.0
     dt = 0.1 / state.curvature_dev
     stepped = flow_step(state, dt, 0.0, m, base)
     assert stepped.curvature_dev < state.curvature_dev
@@ -174,6 +170,9 @@ def test_nonconvergence_carries_the_trace():
         run_uniformization(lawson_tau(3, 1, 32, 8), tol=1e-12, max_steps=5)
     assert exc.value.trace is not None
     assert len(exc.value.trace.rows) >= 1
+    state = exc.value.state
+    assert state is not None
+    assert state.curvature_dev == exc.value.trace.rows[-1]["curvature_dev"]
 
 
 def test_flow_rejects_open_meshes():
@@ -199,3 +198,85 @@ def test_trace_csv_layout_and_determinism():
     assert len(lines) == len(trace.rows) + 1
     first = lines[1].split(",")
     assert first[0] == "0"
+
+
+# ---------------------------------------------------------------------------
+# bit-exactness against the loop that evaluated curvature four times a step
+
+
+def _reference_uniformization(mesh, tol, max_steps=20000):
+    """The explicit Euler loop as first written: the old metric, the
+    candidate, the Lyapunov test and the trace record each evaluate
+    curvature, and every evaluation takes the dual areas twice.
+
+    Returns (rows, final u, rejected steps); it has no dt floor, so a run
+    that would collapse never returns.
+    """
+    base = induced_metric(mesh).as_euclidean()
+
+    def curvature(metric):
+        return (angle_defect_curvature(mesh, metric).values,
+                vertex_dual_areas(mesh, metric).values,
+                float(np.sum(face_areas(metric))))
+
+    def renormalized(u, target_area):
+        for _ in range(2):
+            metric = conformal_lengths(base, VertexField(u))
+            c = 0.5 * np.log(target_area / float(np.sum(face_areas(metric))))
+            u = u + c
+            if abs(c) < 1e-15:
+                break
+        return u, conformal_lengths(base, VertexField(u))
+
+    s, A, area = curvature(base)
+    target = 4.0 * np.pi * euler_characteristic(mesh) / area
+    u, metric, time = np.zeros(mesh.n_vertices), base, 0.0
+    dev = float(np.max(np.abs(s - target)))
+    lyap = float(np.sum((s - target) ** 2 * A))
+    dt = 0.1 / max(dev, 1e-30)
+    rows, rejected, accepted_run = [], 0, 0
+
+    def record(step, dtv):
+        s_i, A_i, _ = curvature(metric)
+        rows.append({"step": step, "time": time, "dt": dtv, "area": area,
+                     "curvature_dev": dev, "total_scalar": float(np.sum(s_i * A_i)),
+                     "willmore_proxy": 4.0 * area, "lyapunov": lyap})
+
+    record(0, 0.0)
+    for step in range(1, max_steps + 1):
+        if dev < tol:
+            break
+        s, _, _ = curvature(metric)
+        try:
+            new_u, new_metric = renormalized(u + dt * (target - s), area)
+        except TriangleViolation:
+            dt *= 0.5
+            accepted_run, rejected = 0, rejected + 1
+            continue
+        s2, _, _ = curvature(new_metric)
+        new_dev = float(np.max(np.abs(s2 - target)))
+        s_i, A_i, _ = curvature(new_metric)
+        new_lyap = float(np.sum((s_i - target) ** 2 * A_i))
+        if new_lyap > lyap * (1.0 + 1e-12):
+            dt *= 0.5
+            accepted_run, rejected = 0, rejected + 1
+            continue
+        u, metric, time, dev, lyap = new_u, new_metric, time + dt, new_dev, new_lyap
+        accepted_run += 1
+        if accepted_run >= 5:
+            dt *= 1.2
+            accepted_run = 0
+        record(step, dt)
+    return rows, u, rejected
+
+
+@pytest.mark.parametrize("build", [lambda: lawson_tau(3, 1, 32, 8),
+                                   lambda: veronese_rp2(3)],
+                         ids=["tau31_32x8", "veronese_L3"])
+def test_one_evaluation_per_step_is_bit_exact(build):
+    mesh = build()
+    ref_rows, ref_u, rejected = _reference_uniformization(mesh, tol=1e-4)
+    assert rejected >= 1, "the reject path must be exercised"
+    trace, u = run_uniformization(mesh, tol=1e-4)
+    assert trace.rows == ref_rows
+    assert u.values.tobytes() == ref_u.tobytes()

@@ -251,6 +251,33 @@ def test_triangle_inequality_enforced():
                          np.array([[0, 1, 2]]), 3)
 
 
+def _list_reduce_slacks(L):
+    """The triangle-slack formula as first written: a three-way list
+    reduction over the slacks and a row maximum over the sides."""
+    a, b, c = L[:, 0], L[:, 1], L[:, 2]
+    return np.minimum.reduce([b + c - a, c + a - b, a + b - c]) / np.max(L, axis=1)
+
+
+def test_pairwise_triangle_slacks_match_the_list_reduction():
+    rng = np.random.default_rng(20240611)
+    random = rng.uniform(0.1, 2.0, size=(4000, 3))
+    # slacks within about 1e-16 of the rejection threshold, on both sides:
+    # sides (x, y, (x + y) / (1 + sigma)) have relative slack sigma
+    x, y = rng.uniform(0.3, 1.0, size=(2, 4000))
+    sigma = M._TRIANGLE_SLACK + rng.uniform(-1e-16, 1e-16, size=4000)
+    edge = np.column_stack([x, y, (x + y) / (1.0 + sigma)])
+    edge = np.take_along_axis(edge, rng.permuted(np.tile([0, 1, 2], (4000, 1)),
+                                                 axis=1), axis=1)
+    near = _list_reduce_slacks(edge)
+    assert np.max(np.abs(near - M._TRIANGLE_SLACK)) < 1e-15
+    assert np.any(near <= M._TRIANGLE_SLACK) and np.any(near > M._TRIANGLE_SLACK)
+    for L in (random, edge):
+        for scale in (1e-6, 1.0, 1e6):
+            want = _list_reduce_slacks(scale * L)
+            got = M._triangle_slacks(scale * L)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_spherical_lengths_below_pi():
     edges = np.array([[0, 1], [0, 2], [1, 2]])
     with pytest.raises(DegenerateTriangle):

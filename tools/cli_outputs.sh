@@ -2,7 +2,9 @@
 # Run a fixed set of spherelab CLI commands against this checkout's src and
 # write every command's stdout (<step>.out) and every file it writes into
 # OUTDIR.  Two checkouts give output trees that `diff -r` compares, which is
-# how a refactor shows that the CLI output stays byte-identical.
+# how a refactor shows that the CLI output stays byte-identical.  Steps that
+# exercise a failure path also keep stderr (<step>.err) and the exit code
+# (<step>.code) instead of aborting the script.
 #
 #   tools/cli_outputs.sh OUTDIR
 set -euo pipefail
@@ -23,6 +25,14 @@ run() {
     python -m spherelab.cli "$@" > "$step.out"
 }
 
+run_code() {
+    local step=$1
+    shift
+    local code=0
+    python -m spherelab.cli "$@" > "$step.out" 2> "$step.err" || code=$?
+    echo "$code" > "$step.code"
+}
+
 run build_sphere build sphere --level 4 -o sphere.mesh.json
 run build_clifford build clifford --nu 64 --nv 64 -o clifford.mesh.json
 run build_tau31 build tau --m 3 --k 1 --nu 64 --nv 16 -o tau31.mesh.json
@@ -40,3 +50,6 @@ run table table --meshes "${meshes[@]/%/.mesh.json}" -o table.csv
 run flow_tau31 flow --mesh tau31.mesh.json -o tau31.trace.csv
 run flow_veronese flow --mesh veronese.mesh.json -o veronese.trace.csv
 run ambient_tau24 ambient --mesh tau24.mesh.json --t-end 0.1 --out-dir ambient
+run_code flow_budget flow --mesh tau31.mesh.json --tol 1e-12 --max-steps 5 \
+    -o tau31_budget.trace.csv
+run_code bipolar_tau31 build bipolar --nu 32 --nv 10 -o bipolar.mesh.json
