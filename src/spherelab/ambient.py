@@ -76,6 +76,8 @@ _AMBIGUITY_DIST = 1e-9
 _AMBIGUITY_U = 1e-6
 # absolute allowance for rounding in |x - x0| and delta
 _REUSE_MARGIN = 1e-12
+# rejection rounds for outside particles before epsilon is refused as too wide
+_OUTSIDE_ROUNDS = 1000
 
 
 def _bump(rho: np.ndarray, eps: float):
@@ -186,12 +188,12 @@ def _closest_on_triangles(P, A, AB, AC):
     return cp, bary
 
 
-def _closest_faces(cache: _FaceCache, X: np.ndarray, k: int = 32,
+def _closest_faces(cache: _FaceCache, X: np.ndarray,
                    _record: _CandidateRecord | None = None):
     """Exact closest face per query point, and the runner-up among candidates.
 
     Returns (face, closest point, barycentric, distance, runner-up distance,
-    runner-up barycentric, runner-up face).  The centroid tree proposes k
+    runner-up barycentric, runner-up face).  The centroid tree proposes k = 32
     candidates; a point is certified when its k-th centroid distance exceeds
     its best distance plus ``max_spread``, and retries with 4k otherwise.
     With ``_record``, a point with |x - x0| + margin < delta reuses its
@@ -208,7 +210,7 @@ def _closest_faces(cache: _FaceCache, X: np.ndarray, k: int = 32,
     out_bary2 = np.empty((n, 3))
     out_face2 = np.empty(n, dtype=np.int64)
     drift = np.linalg.norm(X - rec.anchor, axis=1) + _REUSE_MARGIN
-    rows = np.arange(n)
+    rows, k = np.arange(n), 32
     while len(rows):
         # rows within their slack take their recorded candidates; a row left
         # for a later round kept the record that sent it to the tree
@@ -285,14 +287,15 @@ class TubeField:
 
     ``u_schedule`` is a tuple of (time, per-vertex values), linearly
     interpolated in time.  ``epsilon`` is the inner tube radius; the field
-    is supported within 2 epsilon.
+    is supported within 2 epsilon (quintic cutoff ``_bump``).  The face
+    cache of ``source_mesh`` is built at construction.
     """
 
     source_mesh: SurfaceMesh
     u_schedule: tuple
     epsilon: float
-    bump: object = _bump
-    _cache: object = dataclass_field(default=None, compare=False, repr=False)
+    _cache: object = dataclass_field(default=None, init=False, compare=False,
+                                     repr=False)
     _times: object = dataclass_field(default=None, init=False, compare=False,
                                      repr=False)
 
@@ -382,7 +385,7 @@ def _field_batch(field: TubeField, X: np.ndarray, t: float,
     F = cache.faces[fi]
     u0, u1, u2 = u[F[:, 0]], u[F[:, 1]], u[F[:, 2]]
     u_cp = bary[:, 0] * u0 + bary[:, 1] * u1 + bary[:, 2] * u2
-    B, dB = field.bump(dist, eps)
+    B, dB = _bump(dist, eps)
     vals = u_cp * B
 
     # Jacobian term of u o cp, per closest-feature region
@@ -458,7 +461,9 @@ def build_ensemble(field: TubeField, n_surface: int = 20, n_tube: int = 20,
     Surface particles sit on the curved faces (barycentric samples pushed
     to the sphere); tube particles are surface samples moved a fraction of
     the tube radius along a random tangent of the ambient sphere; outside
-    particles are rejection-sampled beyond the 2-epsilon support.
+    particles are rejection-sampled beyond the 2-epsilon support.  Raises
+    ValueError when ``_OUTSIDE_ROUNDS`` rounds of samples find too few: the
+    tube then fills (nearly) the whole sphere.
     """
     rng = np.random.default_rng(seed)
     mesh = field.source_mesh
@@ -484,7 +489,9 @@ def build_ensemble(field: TubeField, n_surface: int = 20, n_tube: int = 20,
     in_tube = np.cos(delta)[:, None] * base + np.sin(delta)[:, None] * v
 
     outside = np.empty((0, dim))
-    while len(outside) < n_outside:
+    for _ in range(_OUTSIDE_ROUNDS):
+        if len(outside) >= n_outside:
+            break
         cand = rng.standard_normal((4 * n_outside, dim))
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         d, _ = cache.tree.query(cand, k=1)
@@ -495,6 +502,10 @@ def build_ensemble(field: TubeField, n_surface: int = 20, n_tube: int = 20,
             _, _, _, dist, _, _, _ = _closest_faces(cache, cand)
             far = cand[dist > 2.1 * eps]
         outside = np.vstack([outside, far[: n_outside - len(outside)]])
+    if len(outside) < n_outside:
+        raise ValueError(
+            f"epsilon = {eps:g} is too wide: {_OUTSIDE_ROUNDS} rounds found "
+            f"{len(outside)} of {n_outside} points beyond 2.1 epsilon")
 
     positions = np.vstack([on_surface, in_tube, outside])
     tags = (["on_surface"] * n_surface + ["in_tube"] * n_tube
@@ -523,9 +534,14 @@ def integrate_palais_flow(field: TubeField, ensemble: ParticleEnsemble,
 
     Stages re-project to the sphere; a particle whose four stage velocities
     all vanish is left bit-identical (the field's support guarantee).
-    Raises StepTooLarge unless dt <= epsilon / (4 max|grad|), so no
-    particle can cross the tube shell in a single step.
+    Raises ValueError unless dt > 0 and t_end >= 0, and StepTooLarge unless
+    dt <= epsilon / (4 max|grad|), so no particle can cross the tube shell
+    in a single step.
     """
+    if not dt > 0:
+        raise ValueError(f"dt = {dt} must be positive")
+    if not t_end >= 0:
+        raise ValueError(f"t_end = {t_end} must be nonnegative")
     bound = _gradient_bound(field)
     if bound > 0 and dt > field.epsilon / (4.0 * bound):
         raise StepTooLarge(
@@ -562,19 +578,16 @@ def _reproject(X: np.ndarray) -> np.ndarray:
 # measurements
 
 
-def curved_surface_distance(field_or_mesh, X: np.ndarray) -> np.ndarray:
-    """Distance from each point to the union of curved (projected) faces.
+def curved_surface_distance(field: TubeField, X: np.ndarray) -> np.ndarray:
+    """Distance from each point to the curved faces of ``field.source_mesh``.
 
     Faces are radially projected onto the sphere: each becomes the patch of
     the great 2-sphere spanned by its vertices with nonnegative cone
     coefficients.  The distance also considers curved edges and vertices,
     so it is the honest distance to the curved surface.
     """
-    mesh = field_or_mesh.source_mesh if isinstance(field_or_mesh, TubeField) \
-        else field_or_mesh
-    cache = _FaceCache(mesh) if not isinstance(field_or_mesh, TubeField) \
-        else field_or_mesh._cache
-    V, F = mesh.vertices, mesh.faces
+    cache = field._cache
+    V, F = field.source_mesh.vertices, field.source_mesh.faces
     out = np.empty(len(X))
     k = min(12, cache.n_faces)
     _, candidates = cache.tree.query(X, k=k)

@@ -77,8 +77,8 @@ class WrongEuler(SpherelabError):
     """An assembled surface has an unexpected Euler characteristic."""
 
 
-class TriangleViolation(SpherelabError):
-    """Scaled edge lengths break the triangle inequality on some faces."""
+class TriangleViolation(DegenerateTriangle):
+    """Edge lengths break the triangle inequality on some faces."""
 
     def __init__(self, message: str, faces=None):
         super().__init__(message)

@@ -125,19 +125,18 @@ def _mixed_voronoi_areas(mesh: SurfaceMesh, metric: DiscreteMetric) -> np.ndarra
     return out
 
 
-def mean_curvature_vector(mesh: SurfaceMesh, metric: DiscreteMetric | None = None) -> np.ndarray:
+def mean_curvature_vector(mesh: SurfaceMesh) -> np.ndarray:
     """Per-vertex mean curvature vectors of the surface inside S^d.
 
     ``H_i`` is the sphere-tangent part of ``-(L x)_i / A_i`` (equivalently
     of ``-(L x)_i / A_i + 2 x_i``, whose radial part the projection kills),
-    with A_i the circumcentric dual area.  Rows are tangent to the sphere at
-    the corresponding vertex.  Closed meshes only; the formula has no
-    boundary correction.
+    with L and A_i (the circumcentric dual area) from the induced metric.
+    Rows are tangent to the sphere at the corresponding vertex.  Closed
+    meshes only; the formula has no boundary correction.
     """
     if not mesh.is_closed:
         raise ValueError("mean curvature vectors are only defined for closed meshes")
-    if metric is None:
-        metric = induced_metric(mesh)
+    metric = induced_metric(mesh)
     L = cotan_laplacian(mesh, metric)
     A = _mixed_voronoi_areas(mesh, metric)
     from .sphere import tangent_project_rows
@@ -146,9 +145,9 @@ def mean_curvature_vector(mesh: SurfaceMesh, metric: DiscreteMetric | None = Non
     return tangent_project_rows(mesh.vertices, -lap / A[:, None])
 
 
-def max_mean_curvature(mesh: SurfaceMesh, metric: DiscreteMetric | None = None) -> float:
+def max_mean_curvature(mesh: SurfaceMesh) -> float:
     """max_i |H_i|: the scalar a minimal-surface builder certifies against."""
-    H = mean_curvature_vector(mesh, metric)
+    H = mean_curvature_vector(mesh)
     return float(np.max(np.linalg.norm(H, axis=1)))
 
 

@@ -39,6 +39,7 @@ from .errors import (
     DimensionMismatch,
     FieldMeshMismatch,
     MeshInvariantError,
+    TriangleViolation,
 )
 
 __all__ = [
@@ -314,8 +315,8 @@ def euler_characteristic(mesh: SurfaceMesh) -> int:
 
 def _triangle_slacks(corner_lengths: np.ndarray) -> np.ndarray:
     """Min triangle-inequality slack per face for (F, 3) side lengths, over
-    the longest side: scale-free, so every metric and the conformal flow
-    reject a face at the same ``_TRIANGLE_SLACK``."""
+    the longest side: scale-free, so one ``_TRIANGLE_SLACK`` serves metrics
+    of every size."""
     a, b, c = corner_lengths[:, 0], corner_lengths[:, 1], corner_lengths[:, 2]
     # min and max do no arithmetic, so no bit depends on the pairing order
     return (np.minimum(np.minimum(b + c - a, c + a - b), a + b - c)
@@ -327,7 +328,8 @@ class DiscreteMetric:
     """Edge lengths over fixed mesh combinatorics.
 
     ``face_corner_lengths[f, c]`` is the length of the edge opposite corner c
-    of face f, the layout every angle/area formula wants.
+    of face f, the layout every angle/area formula wants.  Construction is
+    the package's one triangle-inequality guard (TriangleViolation).
     """
 
     edges: np.ndarray
@@ -346,20 +348,16 @@ class DiscreteMetric:
         if self.convention == SPHERICAL and np.any(lengths >= np.pi):
             raise DegenerateTriangle("spherical edge length >= pi")
         slack = _triangle_slacks(self.face_corner_lengths)
-        if float(slack.min()) <= _TRIANGLE_SLACK:
-            bad = int(np.argmin(slack))
-            raise DegenerateTriangle(
-                f"face {bad} violates the triangle inequality "
-                f"(relative slack {float(slack.min()):.3e})")
+        bad = np.flatnonzero(slack <= _TRIANGLE_SLACK)
+        if len(bad):
+            raise TriangleViolation(
+                f"{len(bad)} faces violate the triangle inequality "
+                f"(least relative slack {float(slack[bad].min()):.3e})",
+                faces=[int(f) for f in bad[:32]])
 
     @property
     def face_corner_lengths(self) -> np.ndarray:
         return self.lengths[self.face_edge_ids]
-
-    def scaled(self, factors_per_edge: np.ndarray, convention=None) -> "DiscreteMetric":
-        return DiscreteMetric(self.edges, self.lengths * factors_per_edge,
-                              convention or self.convention,
-                              self.face_edge_ids, self.n_vertices)
 
     def as_euclidean(self) -> "DiscreteMetric":
         """Reinterpret the same numbers as flat-triangle lengths."""

@@ -7,8 +7,8 @@ surface-normal part of the exact gradient of the summed spherical face
 areas, per barycentric dual area -- while boundary vertices stay pinned on
 the polygon.  A backtracking line search accepts a step only when the
 spherical area actually drops and every flat triangle keeps quality
-4*sqrt(3)*A/sum(l^2) above 0.05.  Both areas come from the lengths kernel
-of the mesh module: the spherical area is its l'Huilier
+4*sqrt(3)*A/sum(l^2) above ``QUALITY_FLOOR`` = 0.05.  Both areas come from
+the lengths kernel of the mesh module: the spherical area is its l'Huilier
 (``mesh._spherical_excess``) on the arcs over the face chords, and the flat
 area A its Heron (``mesh._heron``) on the chords themselves.  The descent
 either reaches ``max interior |H| < tol``, runs out of iterations (the
@@ -20,7 +20,8 @@ The closed surface is the orbit of the solved patch under the group
 generated by reflections across the great circles carrying the boundary
 arcs.  Tiles are enumerated by breadth-first closure (deduplicated by
 centroid), copies reached by an odd number of reflections get their face
-windings flipped, and the stack is welded within 1e-6.  The Euler
+windings flipped, and the stack is welded within ``WELD_TOL`` = 1e-6.  An
+orbit that needs more than ``MAX_TILES`` = 512 tiles is refused.  The Euler
 characteristic of the quotient must equal 2 - 2*expected_genus.
 
 The canonical genus-k quadrilateral in S^3 alternates between the two
@@ -56,6 +57,7 @@ __all__ = [
 
 QUALITY_FLOOR = 0.05
 WELD_TOL = 1e-6
+MAX_TILES = 512
 
 
 def geodesic_arc(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -236,9 +238,8 @@ def _spherical_area_gradient(V: np.ndarray, F: np.ndarray) -> tuple:
 
 
 def _descent_state(V: np.ndarray, F: np.ndarray, free: np.ndarray,
-                   tail: np.ndarray, head: np.ndarray,
-                   mu: float) -> tuple:
-    """Mean-curvature direction H and the full step direction H + mu*T.
+                   tail: np.ndarray, head: np.ndarray) -> tuple:
+    """Mean-curvature direction H and the full step direction H + T/2.
 
     The tangent plane at each vertex is estimated as the two dominant
     eigenvectors of the covariance of its (sphere-tangentialized, unit)
@@ -279,7 +280,7 @@ def _descent_state(V: np.ndarray, F: np.ndarray, free: np.ndarray,
         T += np.einsum("ij,ij->i", umb, q)[:, None] * q
     T /= dual[:, None]
     T[~free] = 0.0
-    return H, H + mu * T
+    return H, H + 0.5 * T
 
 
 def solve_plateau(problem: PlateauProblem, tol: float = 1e-2,
@@ -312,7 +313,7 @@ def solve_plateau(problem: PlateauProblem, tol: float = 1e-2,
     head = np.concatenate([disk.edges[:, 1], disk.edges[:, 0]])
 
     for it in range(max_iter):
-        H, D = _descent_state(V, F, free, tail, head, mu=0.5)
+        H, D = _descent_state(V, F, free, tail, head)
         residual = float(np.max(np.linalg.norm(H, axis=1)))
         if residual < tol:
             return PlateauSolution(disk.with_vertices(V), residual, it, area)
@@ -335,7 +336,7 @@ def solve_plateau(problem: PlateauProblem, tol: float = 1e-2,
 
 
 def assemble_by_reflection(patch, generators, expected_genus: int,
-                           name: str = "", max_tiles: int = 512) -> SurfaceMesh:
+                           name: str = "") -> SurfaceMesh:
     """Close up a fundamental patch by reflecting it across its boundary arcs.
 
     Breadth-first closure over reflection words: reflecting the copy with
@@ -345,7 +346,7 @@ def assemble_by_reflection(patch, generators, expected_genus: int,
     apart compared to the weld tolerance).  Copies reached by an odd number
     of reflections have their face windings flipped so the quotient can be
     consistently oriented.  Raises WeldFailure when the orbit fails to
-    close into a boundaryless mesh within ``max_tiles`` copies, WrongEuler
+    close into a boundaryless mesh within ``MAX_TILES`` copies, WrongEuler
     when the Euler characteristic is not 2 - 2*expected_genus.
     """
     if isinstance(patch, PlateauSolution):
@@ -366,9 +367,9 @@ def assemble_by_reflection(patch, generators, expected_genus: int,
             c = Mn @ centroid
             if min(float(np.linalg.norm(c - s)) for s in seen) < WELD_TOL:
                 continue
-            if len(mats) >= max_tiles:
+            if len(mats) >= MAX_TILES:
                 raise WeldFailure(
-                    f"reflection orbit did not close within {max_tiles} tiles")
+                    f"reflection orbit did not close within {MAX_TILES} tiles")
             mats.append(Mn)
             parity.append(1 - p)
             seen.append(c)

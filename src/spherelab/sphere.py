@@ -111,11 +111,6 @@ class SphereIsometry:
     def dim(self) -> int:
         return self.matrix.shape[0] - 1
 
-    def apply(self, p: AmbientPoint) -> AmbientPoint:
-        _check_same_dim(self.matrix[0], p.coords)
-        q = self.matrix @ p.coords
-        return AmbientPoint(q / np.linalg.norm(q))
-
     def apply_rows(self, points: np.ndarray) -> np.ndarray:
         """Apply to an (n, d+1) array of row vectors, re-normalising rows."""
         q = points @ self.matrix.T

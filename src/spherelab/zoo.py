@@ -73,22 +73,21 @@ class ParametricPatch:
     """A doubly periodic (or bounded) smooth map into a unit sphere.
 
     ``mapping`` sends (x, y) arrays to an (n, d+1) array of unit vectors;
-    ``periods`` is the (x, y) period pair; ``partials`` optionally returns
-    the two closed-form first partial derivative arrays.
+    ``periods`` is the (x, y) period pair.  ``validate`` samples a 64 x 64
+    grid of one period and returns the worst deviation from unit norm.
     """
 
     mapping: object
     periods: tuple
-    partials: object | None = None
 
-    def validate(self, samples: int = 64, tol: float = 1e-12):
+    def validate(self):
         px, py = self.periods
-        x = np.linspace(0.0, px, samples, endpoint=False)
-        y = np.linspace(0.0, py, samples, endpoint=False)
+        x = np.linspace(0.0, px, 64, endpoint=False)
+        y = np.linspace(0.0, py, 64, endpoint=False)
         xx, yy = np.meshgrid(x, y, indexing="ij")
         P = self.mapping(xx.ravel(), yy.ravel())
         worst = float(np.max(np.abs(np.linalg.norm(P, axis=1) - 1.0)))
-        if worst > tol:
+        if worst > 1e-12:
             raise ValueError(f"patch leaves the unit sphere by {worst:.3e}")
         return worst
 
@@ -232,20 +231,7 @@ def lawson_patch(m: int, k: int) -> ParametricPatch:
     def mapping(x, y):
         return _lawson_psi(m, k, np.asarray(x, float), np.asarray(y, float))
 
-    def partials(x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        dx = np.column_stack([
-            -m * np.sin(m * x) * np.cos(y), m * np.cos(m * x) * np.cos(y),
-            -k * np.sin(k * x) * np.sin(y), k * np.cos(k * x) * np.sin(y),
-        ])
-        dy = np.column_stack([
-            -np.cos(m * x) * np.sin(y), -np.sin(m * x) * np.sin(y),
-            np.cos(k * x) * np.cos(y), np.sin(k * x) * np.cos(y),
-        ])
-        return dx, dy
-
-    return ParametricPatch(mapping, (2 * np.pi, y_period), partials)
+    return ParametricPatch(mapping, (2 * np.pi, y_period))
 
 
 def _bipolar_adapted_ys(ntheta: int) -> np.ndarray:
@@ -260,7 +246,6 @@ def _bipolar_adapted_ys(ntheta: int) -> np.ndarray:
 
 
 def lawson_tau(m: int, k: int, nu: int, nv: int, sampling: str = "uniform",
-               check_minimal: bool = True,
                minimal_tol: float | None = None) -> SurfaceMesh:
     """Minimal torus tau_{m,k} in S^3 on its fundamental lattice.
 
@@ -316,12 +301,11 @@ def lawson_tau(m: int, k: int, nu: int, nv: int, sampling: str = "uniform",
     F = _quad_faces(nu, nv, vid, alternating=alternating)
     mesh = SurfaceMesh(3, V, F, name=f"lawson_tau({m},{k},{nu}x{nv},{sampling})",
                        vertex_normals=N)
-    if check_minimal:
-        _certify_minimal(mesh, h=2 * np.pi * max(m, k) / nu, tol=minimal_tol)
+    _certify_minimal(mesh, h=2 * np.pi * max(m, k) / nu, tol=minimal_tol)
     return mesh
 
 
-def _certify_minimal(mesh: SurfaceMesh, h: float, tol: float | None):
+def _certify_minimal(mesh: SurfaceMesh, h: float, tol: float | None = None):
     from .extrinsic import max_mean_curvature
 
     if tol is None:
@@ -384,15 +368,16 @@ def weld_vertices(dimension: int, vertices: np.ndarray, faces: np.ndarray,
                        orientable=probe_orientability(fnew), name=name)
 
 
-def reduce_to_linear_span(vertices: np.ndarray, tol: float = 1e-8):
+def reduce_to_linear_span(vertices: np.ndarray):
     """Rotate points of R^n into coordinates of their linear span.
 
-    Returns (coordinates, rank).  The basis is deterministic: right singular
-    vectors with the largest-magnitude component made positive.
+    Returns (coordinates, rank); the rank counts singular values above 1e-8
+    times the largest.  The basis is deterministic: right singular vectors
+    with the largest-magnitude component made positive.
     """
     X = np.asarray(vertices, dtype=float)
     _, sv, Vt = np.linalg.svd(X, full_matrices=False)
-    rank = int(np.sum(sv > tol * sv[0]))
+    rank = int(np.sum(sv > 1e-8 * sv[0]))
     B = Vt[:rank]
     for r in range(rank):
         lead = np.argmax(np.abs(B[r]))
@@ -438,17 +423,16 @@ class BipolarSurface:
                            name=self.mesh.name + "|S^" + str(rank - 1))
 
 
-def bipolar(mesh: SurfaceMesh, weld_tol: float = 1e-8,
-            check_minimal: bool = True,
-            minimal_tol: float | None = None) -> BipolarSurface:
+def bipolar(mesh: SurfaceMesh) -> BipolarSurface:
     """Bipolar surface psi ^ nu of an oriented surface in S^3.
 
     Vertices are welded whenever the wedge map identifies them, so the
     output is the honest image when the source sample grid is symmetric
     under the wedge map's deck transformations (see the ``sampling`` option
     of :func:`lawson_tau`); on a generic grid nothing coincides and the
-    output is a multiple cover.  Normals come from the mesh when attached,
-    else from the face aggregation of the extrinsic module.
+    output is a multiple cover; images closer than 1e-8 are welded.
+    Normals come from the mesh when attached, else from the face aggregation
+    of the extrinsic module.
 
     The result lives in S^5 (coordinates = six wedge components); the rank
     of the linear span is reported alongside, 5 for tau_{3,1} whose bipolar
@@ -463,16 +447,14 @@ def bipolar(mesh: SurfaceMesh, weld_tol: float = 1e-8,
     N = surface_normals(mesh)
     B = _wedge_rows(mesh.vertices, N)
     B /= np.linalg.norm(B, axis=1, keepdims=True)
-    welded = weld_vertices(5, B, mesh.faces, tol=weld_tol,
+    welded = weld_vertices(5, B, mesh.faces, tol=1e-8,
                            name="bipolar(" + (mesh.name or "mesh") + ")")
     if not welded.is_closed:
         raise WeldFailure("bipolar weld produced a bordered mesh")
     _, rank = reduce_to_linear_span(welded.vertices)
-    if check_minimal:
-        h = float(np.max(np.linalg.norm(
-            mesh.vertices[mesh.edges[:, 0]] - mesh.vertices[mesh.edges[:, 1]],
-            axis=1)))
-        _certify_minimal(welded, h=2.0 * h, tol=minimal_tol)
+    h = float(np.max(np.linalg.norm(
+        mesh.vertices[mesh.edges[:, 0]] - mesh.vertices[mesh.edges[:, 1]], axis=1)))
+    _certify_minimal(welded, h=2.0 * h)
     return BipolarSurface(welded, rank)
 
 
@@ -480,8 +462,7 @@ def bipolar(mesh: SurfaceMesh, weld_tol: float = 1e-8,
 # the Veronese projective plane
 
 
-def veronese_rp2(level: int, check_minimal: bool = True,
-                 minimal_tol: float | None = None) -> SurfaceMesh:
+def veronese_rp2(level: int) -> SurfaceMesh:
     """Veronese embedding of RP^2 as a minimal surface of S^4, area 6 pi.
 
     The map (x, y, z) -> (sqrt3 xy, sqrt3 xz, sqrt3 yz, (sqrt3/2)(x^2 - y^2),
@@ -507,7 +488,6 @@ def veronese_rp2(level: int, check_minimal: bool = True,
         raise WeldFailure("antipodal weld of the Veronese image failed")
     if euler_characteristic(welded) != 1:
         raise WrongEuler(f"chi = {euler_characteristic(welded)} for RP^2")
-    if check_minimal:
-        # icosphere edge ~ 1.1 / 2^level, stretched by sqrt(3) under the map
-        _certify_minimal(welded, h=1.9 / 2 ** level, tol=minimal_tol)
+    # icosphere edge ~ 1.1 / 2^level, stretched by sqrt(3) under the map
+    _certify_minimal(welded, h=1.9 / 2 ** level)
     return welded

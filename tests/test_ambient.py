@@ -501,3 +501,21 @@ def test_integration_time_grid_handles_uneven_final_step():
     out = integrate_palais_flow(field, ens, 0.25, 0.1)
     times = [t for t, _ in out.log]
     assert times == pytest.approx([0.0, 0.1, 0.2, 0.25])
+
+
+def test_too_wide_a_tube_is_refused_instead_of_sampled_forever():
+    # no point of S^3 lies much more than 0.395 from tau_{3,1} 24x6, so no
+    # outside particle can sit beyond 2.1 epsilon = 0.525
+    mesh = lawson_tau(3, 1, 24, 6)
+    field = TubeField.from_flow(mesh, np.zeros(mesh.n_vertices), epsilon=0.25)
+    with pytest.raises(ValueError, match="epsilon = 0.25"):
+        build_ensemble(field)
+
+
+@pytest.mark.parametrize("t_end, dt, name", [(0.1, 0.0, "dt"), (0.1, -1e-3, "dt"),
+                                             (-0.1, 1e-3, "t_end")])
+def test_integration_refuses_nonpositive_dt_and_negative_t_end(t_end, dt, name):
+    _, _, field = _torus_field(a=0.002, b=0.0015)
+    ens = build_ensemble(field, 2, 2, 0, seed=8)
+    with pytest.raises(ValueError, match=f"^{name} ="):
+        integrate_palais_flow(field, ens, t_end, dt)

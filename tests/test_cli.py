@@ -13,13 +13,14 @@ REPO = Path(__file__).resolve().parents[1]
 XI_CONFIG = str(REPO / "configs" / "xi21.json")
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, timeout=None):
     # the child runs from cwd, so this checkout's src goes first on its path
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "spherelab.cli", *args],
-                          cwd=cwd, env=env, capture_output=True, text=True)
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -192,6 +193,38 @@ def test_ambient_emits_residuals_and_trajectories(tmp_path):
     assert tags == {"on_surface", "in_tube", "outside"}
     # the integrated trajectories are written, not just the seeded positions
     assert float(lines[-1].split(",")[2]) == 0.1
+
+
+def test_ambient_too_wide_a_tube_exits_two(tmp_path):
+    run_cli(["build", "tau", "--m", "3", "--k", "1", "--nu", "24", "--nv", "6"],
+            tmp_path)
+    meshfile = next(tmp_path.glob("lawson*.mesh.json")).name
+    # no outside particle fits beyond 2.1 epsilon on this surface; the
+    # timeout turns a sampling loop without exit into a failure
+    rc, _, err = run_cli(["ambient", "--mesh", meshfile, "--epsilon", "0.25",
+                          "--t-end", "0.01", "--out-dir", "amb"], tmp_path,
+                         timeout=120)
+    assert rc == 2
+    assert "epsilon = 0.25" in err
+
+
+@pytest.mark.parametrize("command, args, name", [
+    ("flow", ["--max-steps", "0"], "max_steps"),
+    ("flow", ["--max-steps", "-3"], "max_steps"),
+    ("ambient", ["--t-end", "-0.1"], "t_end"),
+    ("ambient", ["--dt", "-0.001"], "dt"),
+])
+def test_invalid_step_inputs_exit_two_naming_the_argument(tmp_path, command,
+                                                          args, name):
+    # the Clifford torus is uniformized from the start, so only the invalid
+    # input can stop the flow; the ambient flow needs a nonzero factor
+    surface = (["clifford", "--nu", "16", "--nv", "16"] if command == "flow" else
+               ["tau", "--m", "3", "--k", "1", "--nu", "24", "--nv", "6"])
+    run_cli(["build", *surface, "-o", "s.mesh.json"], tmp_path)
+    rc, _, err = run_cli([command, "--mesh", "s.mesh.json", *args], tmp_path,
+                         timeout=300)
+    assert rc == 2, err
+    assert f"{name} =" in err
 
 
 # ---------------------------------------------------------------------------

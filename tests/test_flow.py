@@ -280,3 +280,44 @@ def test_one_evaluation_per_step_is_bit_exact(build):
     trace, u = run_uniformization(mesh, tol=1e-4)
     assert trace.rows == ref_rows
     assert u.values.tobytes() == ref_u.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one triangle guard
+
+
+def test_each_scaled_metric_checks_the_triangle_inequality_once(monkeypatch):
+    import importlib
+    import pkgutil
+
+    import spherelab
+    from spherelab import mesh as mesh_mod
+
+    mesh = lawson_tau(3, 1, 32, 8)
+    calls = {"slacks": 0, "metrics": 0}
+    slacks, post_init = mesh_mod._triangle_slacks, DiscreteMetric.__post_init__
+
+    def counted_slacks(L):
+        calls["slacks"] += 1
+        return slacks(L)
+
+    def counted_post_init(self):
+        calls["metrics"] += 1
+        post_init(self)
+
+    # every module binding of the slack kernel, however it was imported
+    for info in pkgutil.iter_modules(spherelab.__path__):
+        mod = importlib.import_module(f"spherelab.{info.name}")
+        for name, obj in list(vars(mod).items()):
+            if obj is slacks:
+                monkeypatch.setattr(mod, name, counted_slacks)
+    monkeypatch.setattr(DiscreteMetric, "__post_init__", counted_post_init)
+    run_uniformization(mesh, tol=1e-4)
+    assert calls["metrics"] > 100
+    assert calls["slacks"] == calls["metrics"]
+
+
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_step_budget_below_one_is_refused(max_steps):
+    with pytest.raises(ValueError, match="max_steps"):
+        run_uniformization(clifford_torus(16), max_steps=max_steps)

@@ -6,7 +6,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from spherelab import mesh as M
-from spherelab.errors import DegenerateTriangle, MeshInvariantError
+from spherelab.errors import DegenerateTriangle, MeshInvariantError, TriangleViolation
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +249,17 @@ def test_triangle_inequality_enforced():
     with pytest.raises(DegenerateTriangle):
         M.DiscreteMetric(edges, np.array([1.0, 1.0, 2.5]), M.EUCLIDEAN,
                          np.array([[0, 1, 2]]), 3)
+
+
+def test_triangle_violation_is_a_degenerate_triangle_listing_the_faces():
+    # face 0 = (0, 1, 2) is equilateral, face 1 = (1, 2, 3) has sides 1, 1, 2.5
+    edges = np.array([[0, 1], [0, 2], [1, 2], [1, 3], [2, 3]])
+    face_edge_ids = np.array([[2, 1, 0], [4, 3, 2]])
+    lengths = np.array([1.0, 1.0, 1.0, 1.0, 2.5])
+    with pytest.raises(DegenerateTriangle) as exc:
+        M.DiscreteMetric(edges, lengths, M.EUCLIDEAN, face_edge_ids, 4)
+    assert isinstance(exc.value, TriangleViolation)
+    assert exc.value.faces == [1]
 
 
 def _list_reduce_slacks(L):

@@ -53,3 +53,7 @@ run ambient_tau24 ambient --mesh tau24.mesh.json --t-end 0.1 --out-dir ambient
 run_code flow_budget flow --mesh tau31.mesh.json --tol 1e-12 --max-steps 5 \
     -o tau31_budget.trace.csv
 run_code bipolar_tau31 build bipolar --nu 32 --nv 10 -o bipolar.mesh.json
+run_code flow_no_steps flow --mesh clifford.mesh.json --max-steps 0 \
+    -o clifford_no_steps.trace.csv
+run_code ambient_negative_dt ambient --mesh tau24.mesh.json --t-end 0.1 \
+    --dt -0.001 --out-dir ambient_negative_dt
