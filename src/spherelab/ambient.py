@@ -42,6 +42,14 @@ runner-up at x, nor within 1e-9 of the best, so the ambiguity guard still
 sees every near tie.  Exactly tied faces are taken in face order, which
 makes reused and fresh candidate sets give bit-identical answers.
 
+So each point's closest faces are a pure function of the point, and the
+integrator also keeps, per RK4 stage, each particle's last stage point and
+its closest faces.  A stage point equal to that point bit for bit (-0.0 and
++0.0 differ) takes the kept answer with no tree query and no triangle test,
+so the flow stays bit-exact.  This spares particles whose velocity is zero:
+outside particles, and carrier vertices at distance 0 from the surface.  u
+and the gradient are still evaluated at every stage.
+
 u is interpolated linearly in time between schedule samples; that choice
 is a convention, not a claim.
 """
@@ -129,6 +137,15 @@ class _CandidateRecord:
         self.slack = np.full(n, -np.inf)
 
 
+class _StageMemo:
+    """The last query point of each row, by its bits, and the seven outputs
+    of ``_closest_faces`` there (``None`` before the first batch)."""
+
+    def __init__(self):
+        self.bits = None
+        self.out = None
+
+
 def _closest_on_triangles(P, A, AB, AC):
     """Closest points of row-paired triangles; returns (points, barycentric).
 
@@ -189,7 +206,8 @@ def _closest_on_triangles(P, A, AB, AC):
 
 
 def _closest_faces(cache: _FaceCache, X: np.ndarray,
-                   _record: _CandidateRecord | None = None):
+                   _record: _CandidateRecord | None = None,
+                   _memo: _StageMemo | None = None):
     """Exact closest face per query point, and the runner-up among candidates.
 
     Returns (face, closest point, barycentric, distance, runner-up distance,
@@ -199,18 +217,25 @@ def _closest_faces(cache: _FaceCache, X: np.ndarray,
     With ``_record``, a point with |x - x0| + margin < delta reuses its
     row's candidates less those with |x0 - c_f| - r_f beyond the reach plus
     2 (|x - x0| + margin), and every new certificate refreshes its row.
+    With ``_memo``, a row whose point has the same bits as the memo's takes
+    the memo's outputs and joins no round; this is bit-exact because each
+    row's outputs are a pure function of its own point.  The memo then
+    holds X and the outputs returned.
     """
     n = len(X)
     rec = _CandidateRecord(*X.shape) if _record is None else _record
-    out_face = np.empty(n, dtype=np.int64)
-    out_cp = np.empty((n, X.shape[1]))
-    out_bary = np.empty((n, 3))
-    out_dist = np.empty(n)
-    out_dist2 = np.empty(n)
-    out_bary2 = np.empty((n, 3))
-    out_face2 = np.empty(n, dtype=np.int64)
+    if _memo is not None and _memo.bits is not None:
+        out = tuple(a.copy() for a in _memo.out)
+        rows = np.flatnonzero(~(X.view(np.int64) == _memo.bits).all(axis=1))
+    else:
+        out = (np.empty(n, dtype=np.int64), np.empty((n, X.shape[1])),
+               np.empty((n, 3)), np.empty(n), np.empty(n), np.empty((n, 3)),
+               np.empty(n, dtype=np.int64))
+        rows = np.arange(n)
+    (out_face, out_cp, out_bary, out_dist, out_dist2, out_bary2,
+     out_face2) = out
     drift = np.linalg.norm(X - rec.anchor, axis=1) + _REUSE_MARGIN
-    rows, k = np.arange(n), 32
+    k = 32
     while len(rows):
         # rows within their slack take their recorded candidates; a row left
         # for a later round kept the record that sent it to the tree
@@ -222,15 +247,16 @@ def _closest_faces(cache: _FaceCache, X: np.ndarray,
         cand[~query, :w] = rec.faces[kept]
         keep[~query, :w] = rec.lower[kept] <= \
             (rec.reach + 2.0 * drift)[kept, None]
-        cd, ci = cache.tree.query(X[asked], k=k_eff)
-        cd, ci = cd.reshape(-1, k_eff), ci.reshape(-1, k_eff)
-        cd_k = cd[:, -1]
-        # in face order the first of exactly tied distances is the same in
-        # every candidate set that holds them, reused or fresh
-        by_face = np.argsort(ci, axis=1)
-        cand[query, :k_eff] = ci = np.take_along_axis(ci, by_face, axis=1)
-        cd = np.take_along_axis(cd, by_face, axis=1)
-        keep[query, :k_eff] = True
+        if len(asked):
+            cd, ci = cache.tree.query(X[asked], k=k_eff)
+            cd, ci = cd.reshape(-1, k_eff), ci.reshape(-1, k_eff)
+            cd_k = cd[:, -1]
+            # in face order the first of exactly tied distances is the same
+            # in every candidate set that holds them, reused or fresh
+            by_face = np.argsort(ci, axis=1)
+            cand[query, :k_eff] = ci = np.take_along_axis(ci, by_face, axis=1)
+            cd = np.take_along_axis(cd, by_face, axis=1)
+            keep[query, :k_eff] = True
         # one triangle test per kept (point, candidate) pair
         rr, cc = np.nonzero(keep)
         P = X[rows[rr]]
@@ -248,23 +274,23 @@ def _closest_faces(cache: _FaceCache, X: np.ndarray,
         second = np.argmin(dist, axis=1)
         d_second = dist[local, second]
         certified = np.ones(len(rows), dtype=bool)
-        if k_eff < cache.n_faces:
-            certified[query] = cd_k > d_best[query] + cache.max_spread
-
-        new = certified[query]
-        slot, d0 = asked[new], d_best[query][new]
-        if k_eff > rec.faces.shape[1]:
-            pad = ((0, 0), (0, k_eff - rec.faces.shape[1]))
-            rec.faces = np.pad(rec.faces, pad)
-            rec.lower = np.pad(rec.lower, pad, constant_values=np.inf)
-        rec.anchor[slot] = X[slot]
-        rec.faces[slot, :k_eff] = ci[new]
-        rec.lower[slot] = np.inf
-        rec.lower[slot, :k_eff] = cd[new] - cache.radius[ci[new]]
-        rec.reach[slot] = np.maximum(d_second[query][new],
-                                     d0 + _AMBIGUITY_DIST)
-        rec.slack[slot] = np.inf if k_eff == cache.n_faces else \
-            0.5 * (cd_k[new] - cache.max_spread - d0)
+        if len(asked):
+            if k_eff < cache.n_faces:
+                certified[query] = cd_k > d_best[query] + cache.max_spread
+            new = certified[query]
+            slot, d0 = asked[new], d_best[query][new]
+            if k_eff > rec.faces.shape[1]:
+                pad = ((0, 0), (0, k_eff - rec.faces.shape[1]))
+                rec.faces = np.pad(rec.faces, pad)
+                rec.lower = np.pad(rec.lower, pad, constant_values=np.inf)
+            rec.anchor[slot] = X[slot]
+            rec.faces[slot, :k_eff] = ci[new]
+            rec.lower[slot] = np.inf
+            rec.lower[slot, :k_eff] = cd[new] - cache.radius[ci[new]]
+            rec.reach[slot] = np.maximum(d_second[query][new],
+                                         d0 + _AMBIGUITY_DIST)
+            rec.slack[slot] = np.inf if k_eff == cache.n_faces else \
+                0.5 * (cd_k[new] - cache.max_spread - d0)
 
         sel, lsel = rows[certified], local[certified]
         bsel, s2 = best[certified], second[certified]
@@ -277,8 +303,10 @@ def _closest_faces(cache: _FaceCache, X: np.ndarray,
         out_face2[sel] = cand[lsel, s2]
         rows = rows[~certified]
         k *= 4
-    return (out_face, out_cp, out_bary, out_dist, out_dist2, out_bary2,
-            out_face2)
+    if _memo is not None:
+        _memo.bits = X.view(np.int64).copy()
+        _memo.out = tuple(a.copy() for a in out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -342,14 +370,16 @@ class TubeField:
 
 
 def _field_batch(field: TubeField, X: np.ndarray, t: float,
-                 _record: _CandidateRecord | None = None):
+                 _record: _CandidateRecord | None = None,
+                 _memo: _StageMemo | None = None):
     """(values, ambient gradients) of the tube field at a batch of points.
 
     The gradient is the exact derivative of the implemented value: the
     closest-point map contributes the face (or edge) Jacobian, the cutoff
     contributes its radial term, and the result is projected tangent to the
     sphere at each query point.  Points at distance 2 epsilon or more get
-    exact zeros.  ``_record`` is passed on to ``_closest_faces``.
+    exact zeros.  ``_record`` and ``_memo`` are passed on to
+    ``_closest_faces``.
     """
     cache = field._cache
     eps = field.epsilon
@@ -357,7 +387,7 @@ def _field_batch(field: TubeField, X: np.ndarray, t: float,
     values = np.zeros(n)
     grads = np.zeros_like(X)
 
-    nearest = _closest_faces(cache, X, _record=_record)
+    nearest = _closest_faces(cache, X, _record=_record, _memo=_memo)
     live = nearest[3] < 2.0 * eps
     if not np.any(live):
         return values, grads
@@ -550,17 +580,19 @@ def integrate_palais_flow(field: TubeField, ensemble: ParticleEnsemble,
     X = ensemble.positions.copy()
     log = list(ensemble.log)
     steps = int(np.ceil(t_end / dt - 1e-12))
-    # closest-face certificates carried across stages and steps
+    # closest-face certificates carried across stages and steps, and per
+    # stage the closest faces of each row's last stage point
     rec = _CandidateRecord(*X.shape)
+    m1, m2, m3, m4 = (_StageMemo() for _ in range(4))
     t = 0.0
     for _ in range(steps):
         h = min(dt, t_end - t)
-        _, k1 = _field_batch(field, X, t, rec)
+        _, k1 = _field_batch(field, X, t, rec, m1)
         _, k2 = _field_batch(field, _reproject(X + 0.5 * h * k1), t + 0.5 * h,
-                             rec)
+                             rec, m2)
         _, k3 = _field_batch(field, _reproject(X + 0.5 * h * k2), t + 0.5 * h,
-                             rec)
-        _, k4 = _field_batch(field, _reproject(X + h * k3), t + h, rec)
+                             rec, m3)
+        _, k4 = _field_batch(field, _reproject(X + h * k3), t + h, rec, m4)
         moved = (np.abs(k1).max(axis=1) + np.abs(k2).max(axis=1)
                  + np.abs(k3).max(axis=1) + np.abs(k4).max(axis=1)) > 0.0
         Xn = X[moved] + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)[moved]
@@ -662,10 +694,10 @@ def trajectory_csv(ensemble: ParticleEnsemble) -> str:
     dim = ensemble.positions.shape[1]
     out = io.StringIO()
     out.write("particle_id,tag,t," + ",".join(f"x{k}" for k in range(dim)) + "\n")
+    line = "%d,%s,%.17g" + ",%.17g" * dim + "\n"
     for t, X in ensemble.log:
-        for pid in range(len(X)):
-            coords = ",".join(f"{c:.17g}" for c in X[pid])
-            out.write(f"{pid},{ensemble.tags[pid]},{t:.17g},{coords}\n")
+        for pid, coords in enumerate(X.tolist()):
+            out.write(line % (pid, ensemble.tags[pid], t, *coords))
     return out.getvalue()
 
 

@@ -163,7 +163,14 @@ def cmd_ambient(args) -> int:
     _, u_field = run_uniformization(mesh, tol=args.flow_tol, max_steps=args.max_steps)
     u = u_field.values
     field = TubeField.from_flow(mesh, u, epsilon=args.epsilon)
-    dt = args.dt if args.dt else 0.5 * field.epsilon / (4.0 * _gradient_bound(field))
+    bound = _gradient_bound(field)
+    if args.dt:
+        dt = args.dt
+    elif bound > 0:
+        dt = 0.5 * field.epsilon / (4.0 * bound)
+    else:
+        # u vanishes everywhere, so any step is stable: one step to t_end
+        dt = args.t_end if args.t_end > 0 else 1.0
     ensemble = integrate_palais_flow(field, build_ensemble(field, seed=args.seed),
                                      t_end=args.t_end, dt=dt)
     carrier = ParticleEnsemble(mesh.vertices.copy(), ["vertex"] * mesh.n_vertices, [])

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
+from spherelab import ambient
 from spherelab.ambient import (
     ParticleEnsemble,
     TubeField,
@@ -247,6 +248,50 @@ def test_candidate_reuse_keeps_the_flow_bit_exact(monkeypatch):
         assert sum(asked) < 0.1 * stages, "candidates were not reused"
         assert np.abs(out.positions - start.positions).max() > 1e-4, \
             "the particles must really move"
+
+
+def _spy_on_triangle_tests(monkeypatch):
+    """Per triangle-test call: (1-based index of its field batch, points)."""
+    batches, calls = [], []
+
+    def field_batch(*args):
+        batches.append(None)
+        return _field_batch(*args)
+
+    def triangles(P, *rest):
+        calls.append((len(batches), P))
+        return _closest_on_triangles(P, *rest)
+
+    monkeypatch.setattr(ambient, "_field_batch", field_batch)
+    monkeypatch.setattr(ambient, "_closest_on_triangles", triangles)
+    return calls
+
+
+def test_stage_memo_skips_the_search_at_repeated_stage_points(monkeypatch):
+    # outside particles never move, so after the first step each stage
+    # point repeats bit for bit and takes its closest faces from the memo
+    _, _, field = _torus_field()
+    ens = build_ensemble(field, 0, 0, 12, seed=21)
+    calls = _spy_on_triangle_tests(monkeypatch)
+    out = integrate_palais_flow(field, ens, 0.4, 0.01)
+    assert len(out.log) == 1 + 40
+    assert {batch for batch, _ in calls} == {1, 2, 3, 4}
+
+
+def test_stage_memo_tests_only_the_carrier_vertices_that_move(monkeypatch):
+    mesh = lawson_tau(3, 1, 24, 6)
+    _, u = run_uniformization(mesh, tol=1e-4)
+    field = TubeField.from_flow(mesh, u.values)
+    dt = 0.5 * field.epsilon / (4.0 * _gradient_bound(field))
+    carrier = ParticleEnsemble(mesh.vertices.copy(),
+                               ["vertex"] * mesh.n_vertices, [])
+    calls = _spy_on_triangle_tests(monkeypatch)
+    out = integrate_palais_flow(field, carrier, 40 * dt, dt)
+    moved = np.any([np.any(X != mesh.vertices, axis=1) for _, X in out.log],
+                   axis=0).sum()
+    assert moved < 0.1 * mesh.n_vertices
+    later = [len(np.unique(P, axis=0)) for batch, P in calls if batch > 4]
+    assert max(later, default=0) <= moved
 
 
 def test_coincident_vertices_of_uniform_tau_evaluate():

@@ -208,6 +208,22 @@ def test_ambient_too_wide_a_tube_exits_two(tmp_path):
     assert "epsilon = 0.25" in err
 
 
+def test_ambient_on_a_uniform_surface_moves_nothing(tmp_path):
+    # the Clifford torus is uniformized from the start: u is 0, so is the
+    # gradient bound, and the default dt must not divide by it
+    run_cli(["build", "clifford", "--nu", "16", "--nv", "16", "-o",
+             "s.mesh.json"], tmp_path)
+    rc, _, err = run_cli(["ambient", "--mesh", "s.mesh.json", "--t-end", "0.1",
+                          "--out-dir", "amb"], tmp_path, timeout=120)
+    assert rc == 0, err
+    rows = [ln.split(",") for ln in
+            (tmp_path / "amb" / "trajectories.csv").read_text().splitlines()[1:]]
+    assert sorted({float(r[2]) for r in rows}) == [0.0, 0.1]
+    start = {r[0]: r[3:] for r in rows if float(r[2]) == 0.0}
+    end = {r[0]: r[3:] for r in rows if float(r[2]) == 0.1}
+    assert len(start) == 60 and end == start
+
+
 @pytest.mark.parametrize("command, args, name", [
     ("flow", ["--max-steps", "0"], "max_steps"),
     ("flow", ["--max-steps", "-3"], "max_steps"),

@@ -57,3 +57,5 @@ run_code flow_no_steps flow --mesh clifford.mesh.json --max-steps 0 \
     -o clifford_no_steps.trace.csv
 run_code ambient_negative_dt ambient --mesh tau24.mesh.json --t-end 0.1 \
     --dt -0.001 --out-dir ambient_negative_dt
+run_code ambient_uniform ambient --mesh clifford.mesh.json --t-end 0.1 \
+    --out-dir ambient_uniform
