@@ -95,9 +95,15 @@ def cmd_build(args) -> int:
     if args.surface == "xi":
         if not args.config:
             raise ValueError("build xi needs --config")
-        mesh, solution = build_xi(args.config)
+        cfg = json.loads(Path(args.config).read_text())
+        mesh, solution = build_xi(cfg)
         print(f"plateau residual={_g(solution.residual)} "
               f"iterations={solution.iterations} patch_area={_g(solution.area)}")
+        if not solution.residual < float(cfg["tol"]):
+            print(f"error: plateau residual {_g(solution.residual)} is not below "
+                  f"tol {_g(cfg['tol'])} after max_iter {cfg['max_iter']} "
+                  "iterations; the patch is not minimal", file=sys.stderr)
+            return EXIT_NUMERIC
     else:
         mesh = _built_mesh(args)
     chi = euler_characteristic(mesh)

@@ -1,20 +1,23 @@
 """Plateau solver for geodesic polygons and reflection closure of the orbit.
 
-A minimal patch spanning a geodesic polygon in S^d is found by projected
-gradient descent on total spherical area: interior vertices of a disk mesh
-step synchronously along the discrete mean-curvature direction -- the
+A minimal patch spanning a geodesic polygon in S^d is found by
+preconditioned descent on total spherical area (Pinkall and Polthier,
+1993).  Each iteration solves the cotan Dirichlet problem of the current
+patch, boundary vertices pinned on the polygon, with right-hand side the
+discrete mean-curvature vector H times the barycentric dual area: minus the
 surface-normal part of the exact gradient of the summed spherical face
-areas, per barycentric dual area -- while boundary vertices stay pinned on
-the polygon.  A backtracking line search accepts a step only when the
-spherical area actually drops and every flat triangle keeps quality
-4*sqrt(3)*A/sum(l^2) above ``QUALITY_FLOOR`` = 0.05.  Both areas come from
-the lengths kernel of the mesh module: the spherical area is its l'Huilier
-(``mesh._spherical_excess``) on the arcs over the face chords, and the flat
-area A its Heron (``mesh._heron``) on the chords themselves.  The descent
-either reaches ``max interior |H| < tol``, runs out of iterations (the
-achieved residual is returned for the caller to judge), or stalls with the
-line search unable to shrink the area any further, which raises
-StalledDescent rather than silently accepting.
+areas.  The preconditioner makes the full step 1 mesh-independent, so the
+number of solves stays flat under refinement where an explicit step of
+order h^2 needs 1/h^2 iterations.  A backtracking line search accepts a
+step only when the spherical area actually drops and every flat triangle
+keeps quality 4*sqrt(3)*A/sum(l^2) above ``QUALITY_FLOOR`` = 0.05.  Both
+areas come from the lengths kernel of the mesh module: the spherical area
+is its l'Huilier (``mesh._spherical_excess``) on the arcs over the face
+chords, and the flat area A its Heron (``mesh._heron``) on the chords
+themselves.  The descent either reaches ``max interior |H| < tol``, runs
+out of iterations (the achieved residual is returned for the caller to
+judge), or stalls with the line search unable to shrink the area any
+further, which raises StalledDescent rather than silently accepting.
 
 The closed surface is the orbit of the solved patch under the group
 generated by reflections across the great circles carrying the boundary
@@ -37,10 +40,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from .errors import AntipodalPair, StalledDescent, WeldFailure, WrongEuler
-from .mesh import SurfaceMesh, _heron, _spherical_excess, euler_characteristic
-from .sphere import AmbientPoint, SphereIsometry, reflection_across_great_circle
+from .extrinsic import cotan_laplacian
+from .mesh import (SPHERICAL, DiscreteMetric, SurfaceMesh, _heron, _spherical_excess,
+                   euler_characteristic)
+from .sphere import (AmbientPoint, SphereIsometry, geodesic_distances,
+                     reflection_across_great_circle)
 from .zoo import weld_vertices
 
 __all__ = [
@@ -239,20 +246,18 @@ def _spherical_area_gradient(V: np.ndarray, F: np.ndarray) -> tuple:
 
 def _descent_state(V: np.ndarray, F: np.ndarray, free: np.ndarray,
                    tail: np.ndarray, head: np.ndarray) -> tuple:
-    """Mean-curvature direction H and the full step direction H + T/2.
+    """Mean-curvature direction H and the barycentric dual areas.
 
     The tangent plane at each vertex is estimated as the two dominant
     eigenvectors of the covariance of its (sphere-tangentialized, unit)
     edge directions; ``tail``/``head`` list every directed edge both ways.
     H is minus the surface-normal part of the exact spherical-area gradient
-    per barycentric dual area.  Splitting off the tangential part matters
-    twice over: the raw gradient contains pure reparametrization components
-    that grind triangle quality into the line-search floor without changing
-    the geometry, while conversely a deforming sliver patch needs vertices
-    actively redistributed along the surface to keep up with it.  T is
-    therefore the in-tangent-plane umbrella vector per dual area -- an
-    area-neutral smoothing term to first order -- and only H enters the
-    termination residual.  Both fields vanish on pinned rows.
+    per barycentric dual area, and vanishes on pinned rows.  The tangential
+    part is dropped because the raw gradient contains pure
+    reparametrization components that grind triangle quality into the
+    line-search floor without changing the geometry.  H * dual is the
+    right-hand side of the preconditioned step, and max |H| the
+    termination residual.
     """
     G, E = _spherical_area_gradient(V, F)
     t = V[head] - np.einsum("ij,ij->i", V[head], V[tail])[:, None] * V[tail]
@@ -271,30 +276,25 @@ def _descent_state(V: np.ndarray, F: np.ndarray, free: np.ndarray,
         Gn -= np.einsum("ij,ij->i", Gn, q)[:, None] * q
     H = -Gn / dual[:, None]
     H[~free] = 0.0
-
-    umb = np.zeros_like(V)
-    np.add.at(umb, tail, V[head] - V[tail])
-    T = np.zeros_like(V)
-    for col in (-1, -2):
-        q = Q[:, :, col]
-        T += np.einsum("ij,ij->i", umb, q)[:, None] * q
-    T /= dual[:, None]
-    T[~free] = 0.0
-    return H, H + 0.5 * T
+    return H, dual
 
 
 def solve_plateau(problem: PlateauProblem, tol: float = 1e-2,
                   max_iter: int = 20000) -> PlateauSolution:
     """Descend total spherical area until the interior is minimal to ``tol``.
 
-    All free vertices move at once along the mean-curvature direction and
-    are reprojected to the sphere; the step size backtracks until the
-    spherical area strictly decreases and no triangle quality falls to
-    QUALITY_FLOOR.  Returns once ``max interior |H| < tol`` or after
-    ``max_iter`` accepted steps (the achieved residual is in the result
-    either way).  Raises StalledDescent -- carrying the residual, the
-    iteration count and the best mesh -- when the line search cannot
-    decrease the area at all while the residual still exceeds ``tol``.
+    Each iteration solves the cotan Dirichlet problem L_ff D = (H * dual)_f
+    of the current patch (L from ``extrinsic.cotan_laplacian`` on its
+    geodesic edge lengths, restricted to the free rows and columns, so the
+    boundary stays pinned), moves the free vertices to V + eta * D and
+    reprojects them to the sphere.  The step eta starts at 1, the harmonic
+    (Pinkall-Polthier) update, and backtracks until the spherical area
+    strictly decreases and no triangle quality falls to QUALITY_FLOOR.
+    Returns once ``max interior |H| < tol`` or after ``max_iter`` accepted
+    steps (the achieved residual is in the result either way).  Raises
+    StalledDescent -- carrying the residual, the iteration count and the
+    best mesh -- when the line search cannot decrease the area at all while
+    the residual still exceeds ``tol``.
     """
     disk = problem.interior_init
     V = disk.vertices.copy()
@@ -303,23 +303,25 @@ def solve_plateau(problem: PlateauProblem, tol: float = 1e-2,
     if not free.any():
         raise ValueError("the disk has no interior vertices to move")
 
-    ch = _chord_lengths(V, F)
-    area = float(np.sum(_spherical_excess(_arcs(ch))))
-    hmin = float(np.min(ch))
-    eta = 0.25 * hmin * hmin
-    eta_cap = 64.0 * eta
+    area = float(np.sum(_spherical_face_areas(V, F)))
+    eta = 1.0
     residual = float("inf")
-    tail = np.concatenate([disk.edges[:, 0], disk.edges[:, 1]])
-    head = np.concatenate([disk.edges[:, 1], disk.edges[:, 0]])
+    ends = disk.edges
+    tail = np.concatenate([ends[:, 0], ends[:, 1]])
+    head = np.concatenate([ends[:, 1], ends[:, 0]])
 
     for it in range(max_iter):
-        H, D = _descent_state(V, F, free, tail, head)
+        H, dual = _descent_state(V, F, free, tail, head)
         residual = float(np.max(np.linalg.norm(H, axis=1)))
         if residual < tol:
             return PlateauSolution(disk.with_vertices(V), residual, it, area)
+        metric = DiscreteMetric(ends, geodesic_distances(V[ends[:, 0]], V[ends[:, 1]]),
+                                SPHERICAL, disk.face_edge_ids, disk.n_vertices)
+        L = cotan_laplacian(disk, metric)[free][:, free]
+        D = splu(L.tocsc()).solve(H[free] * dual[free, None])
         while True:
             Vt = V.copy()
-            moved = V[free] + eta * D[free]
+            moved = V[free] + eta * D
             Vt[free] = moved / np.linalg.norm(moved, axis=1)[:, None]
             trial = float(np.sum(_spherical_face_areas(Vt, F)))
             if trial < area and float(np.min(_triangle_quality(Vt, F))) > QUALITY_FLOOR:
@@ -330,7 +332,7 @@ def solve_plateau(problem: PlateauProblem, tol: float = 1e-2,
                     f"line search stalled at residual {residual:.3e} (tol {tol:.3e})",
                     residual=residual, iterations=it, mesh=disk.with_vertices(V))
         V, area = Vt, trial
-        eta = min(1.3 * eta, eta_cap)
+        eta = min(1.3 * eta, 1.0)
 
     return PlateauSolution(disk.with_vertices(V), residual, max_iter, area)
 
@@ -427,21 +429,18 @@ def quadrilateral_disk(corners: np.ndarray, n: int, name: str = "") -> SurfaceMe
     P[0, :] = left
     P[n, :] = right
 
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    faces = []
-    for i in range(n):
-        for j in range(n):
-            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
-            if (i + j) % 2:
-                faces.extend([(a, b, c), (a, c, d)])
-            else:
-                faces.extend([(b, c, d), (b, d, a)])
-    loop = ([vid(i, 0) for i in range(n)] + [vid(n, j) for j in range(n)]
-            + [vid(i, n) for i in range(n, 0, -1)] + [vid(0, j) for j in range(n, 0, -1)])
+    ids = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
+    # cell (i, j) has corners a, b, c, d = (i, j), (i+1, j), (i+1, j+1), (i, j+1)
+    # and splits along ac when i + j is odd, along bd (corners rotated by one)
+    # when it is even; cells run row-major, two faces each
+    quad = np.stack([ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]],
+                    axis=-1).reshape(-1, 4)
+    even = 1 - np.add.outer(np.arange(n), np.arange(n)).reshape(-1, 1) % 2
+    corner = (np.array([0, 1, 2, 0, 2, 3]) + even) % 4
+    faces = np.take_along_axis(quad, corner, axis=1).reshape(-1, 3)
+    loop = np.concatenate([ids[:n, 0], ids[n, :n], ids[n:0:-1, n], ids[0, n:0:-1]])
     return SurfaceMesh(corners.shape[1] - 1, P.reshape(-1, corners.shape[1]),
-                       np.array(faces, dtype=np.int64), boundary_loops=[loop],
+                       faces, boundary_loops=[loop],
                        orientable=True, name=name or f"quad-disk-{n}")
 
 

@@ -392,6 +392,32 @@ def test_09_xi_surface_bounds_expected():
                  f"{sol31.residual:.2e} miss tol {tol21:g}, area ordering "
                  f"not asserted (a21={a21:.4f}, a31={a31:.4f})")
 
+    # refinement ladder: every level must converge, close up with the right
+    # chi and keep the ordering; the extrapolation is reported, not gated
+    ladder = {}
+    for n in (24, 48):
+        for name, genus in (("xi21", 2), ("xi31", 3)):
+            cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+            cfg["resolution"] = n
+            closed, sol = build_xi(cfg)
+            chi = euler_characteristic(closed)
+            ladder[name, n] = total_area(closed, induced_metric(closed))
+            _verdict(9, f"xi ladder {name} n={n}",
+                     chi == 2 - 2 * genus and sol.residual <= float(cfg["tol"]),
+                     f"chi={chi} (={2 - 2 * genus}), residual {sol.residual:.2e} "
+                     f"after {sol.iterations} iterations (tol {cfg['tol']:g}), "
+                     f"area {ladder[name, n]:.4f}")
+        _verdict(9, f"xi ladder ordering n={n}",
+                 CLIFFORD_AREA < ladder["xi21", n] < ladder["xi31", n] < 8.0 * np.pi,
+                 f"2pi^2={CLIFFORD_AREA:.4f} < {ladder['xi21', n]:.4f} < "
+                 f"{ladder['xi31', n]:.4f} < 8pi={8 * np.pi:.4f}")
+    for name, genus in (("xi21", 2), ("xi31", 3)):
+        coarse, fine = ladder[name, 24], ladder[name, 48]
+        trend = 8.0 * np.pi * (1.0 - np.log(2.0) / (2.0 * (genus + 1)))
+        print(f"[INFO]  9 {name}: Richardson (24, 48; error O(h^2)) "
+              f"{fine + (fine - coarse) / 3.0:.4f}, trend 8pi(1 - ln2/(2(g+1))) "
+              f"= {trend:.2f} (asymptotic in g, not a gate)")
+
 
 def test_10_property_suites_spot_checks():
     rng = np.random.default_rng(23)

@@ -83,6 +83,21 @@ def test_build_xi_wrong_genus_exits_validation(tmp_path):
     assert "WrongEuler" in err
 
 
+def test_build_xi_short_of_tol_exits_numeric(tmp_path):
+    # five iterations leave the patch far from minimal: a numeric failure,
+    # not a mesh to measure
+    cfg = json.loads(open(XI_CONFIG).read())
+    cfg["max_iter"] = 5
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(cfg))
+    rc, out, err = run_cli(["build", "xi", "--config", str(short),
+                            "-o", "xi.mesh.json"], tmp_path)
+    assert rc == 3
+    assert "plateau residual=" in out and "iterations=5" in out
+    assert "tol 0.001" in err and "max_iter 5" in err
+    assert not (tmp_path / "xi.mesh.json").exists()
+
+
 def test_unknown_builder_rejected_before_computation(tmp_path):
     rc, _, err = run_cli(["build", "mobius"], tmp_path)
     assert rc == 2

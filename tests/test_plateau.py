@@ -101,6 +101,28 @@ def test_quadrilateral_disk_is_a_disk_with_boundary_on_the_arcs():
     assert fixed.all()
 
 
+def test_quadrilateral_disk_matches_the_cell_by_cell_triangulation():
+    corners, _ = lawson_xi_quadrilateral(3)
+    for n in (2, 7, 12):
+        disk = quadrilateral_disk(corners, n)
+        ref = []
+        for i in range(n):
+            for j in range(n):
+                a, b = i * (n + 1) + j, (i + 1) * (n + 1) + j
+                c, d = b + 1, a + 1
+                ref.extend([(a, b, c), (a, c, d)] if (i + j) % 2
+                           else [(b, c, d), (b, d, a)])
+        assert disk.faces.dtype == np.int64
+        assert np.array_equal(disk.faces, np.array(ref))
+        # the rim runs j = 0, i = n, j = n, i = 0, each side from its start
+        # corner up to (not including) the next
+        grid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
+        rim = ([grid[i, 0] for i in range(n)] + [grid[n, j] for j in range(n)]
+               + [grid[i, n] for i in range(n, 0, -1)]
+               + [grid[0, j] for j in range(n, 0, -1)])
+        assert list(disk.boundary_loops[0]) == rim
+
+
 # ---------------------------------------------------------------------------
 # problem validation
 
@@ -222,6 +244,19 @@ def test_solver_converges_below_tol_and_decreases_area():
     # pinned rows never move, bit for bit
     bm = prob.interior_init.boundary_vertex_mask
     assert np.array_equal(sol.mesh.vertices[bm], prob.interior_init.vertices[bm])
+
+
+def test_solve_count_stays_flat_under_refinement():
+    # the cotan preconditioner makes the full step mesh-independent, so the
+    # count must not grow like 1/h^2 when the grid is refined
+    counts = []
+    for n in (8, 16):
+        prob, *_ = _xi_problem(2, n)
+        sol = solve_plateau(prob, tol=1e-3, max_iter=40)
+        assert sol.residual < 1e-3
+        counts.append(sol.iterations)
+    assert max(counts) <= 40
+    assert counts[1] <= counts[0] + 5
 
 
 def test_solver_is_deterministic():

@@ -59,3 +59,8 @@ run_code ambient_negative_dt ambient --mesh tau24.mesh.json --t-end 0.1 \
     --dt -0.001 --out-dir ambient_negative_dt
 run_code ambient_uniform ambient --mesh clifford.mesh.json --t-end 0.1 \
     --out-dir ambient_uniform
+python -c 'import json, sys
+cfg = json.load(open(sys.argv[1]))
+cfg["max_iter"] = 5
+open("xi21_short.json", "w").write(json.dumps(cfg, indent=2))' "$REPO/configs/xi21.json"
+run_code build_xi_short build xi --config xi21_short.json -o xi21_short.mesh.json
