@@ -88,16 +88,22 @@ class VertexField:
 # the mesh
 
 
+def _edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """One integer key per undirected edge {u, v} of vertices below ``n``:
+    lo * n + hi, which sorts exactly as the sorted (lo, hi) rows do."""
+    return np.minimum(u, v) * n + np.maximum(u, v)
+
+
 def _edge_table(faces: np.ndarray):
     """Undirected edges and the face->edge incidence.
 
-    Returns ``edges`` (E, 2) with sorted rows, and ``face_edge_ids`` (F, 3)
-    where column c is the edge opposite corner c.
+    Returns ``edges`` (E, 2) with sorted rows in lexicographic order, and
+    ``face_edge_ids`` (F, 3) where column c is the edge opposite corner c.
     """
     opp = faces[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
-    opp = np.sort(opp, axis=1)
-    edges, inverse = np.unique(opp, axis=0, return_inverse=True)
-    return edges, inverse.reshape(-1, 3)
+    n = int(faces.max(initial=0)) + 1
+    keys, inverse = np.unique(_edge_keys(opp[:, 0], opp[:, 1], n), return_inverse=True)
+    return np.column_stack([keys // n, keys % n]), inverse.reshape(-1, 3)
 
 
 def _interior_halfedge_pairs(face_edge_ids: np.ndarray, n_edges: int):
@@ -494,14 +500,13 @@ def refine(mesh: SurfaceMesh) -> SurfaceMesh:
     edges = mesh.edges
     verts, faces = _subdivide(mesh.vertices, mesh.faces, edges, mesh.face_edge_ids)
 
-    edge_lookup = {tuple(e): i for i, e in enumerate(map(tuple, edges))}
+    n = mesh.n_vertices
+    keys = _edge_keys(edges[:, 0], edges[:, 1], n)
     loops = []
     for loop in mesh.boundary_loops:
-        new_loop = []
-        for u, v in zip(loop, loop[1:] + loop[:1]):
-            e = edge_lookup[tuple(sorted((u, v)))]
-            new_loop.extend([u, mesh.n_vertices + e])
-        loops.append(new_loop)
+        u = np.array(loop)
+        e = np.searchsorted(keys, _edge_keys(u, np.roll(u, -1), n))
+        loops.append(np.column_stack([u, n + e]).ravel())
 
     return SurfaceMesh(mesh.dimension, verts, faces, loops, mesh.orientable, mesh.name)
 

@@ -161,24 +161,19 @@ def great_sphere(level: int) -> SurfaceMesh:
 
 
 def _quad_faces(nu, nv, vid, alternating=False):
-    """Triangulated quad grid; ``vid(i, j)`` resolves wrap-around indices.
+    """Triangulated quad grid, row by row, two triangles per quad;
+    ``vid(i, j)`` resolves wrap-around indices of integer arrays.
 
     With ``alternating`` the diagonal direction flips with row parity, which
     the bipolar weld needs so that deck images of faces are again faces.
     """
-    faces = []
-    for j in range(nv):
-        flip = alternating and (j % 2 == 1)
-        for i in range(nu):
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            if flip:
-                faces += [(a, b, d), (b, c, d)]
-            else:
-                faces += [(a, b, c), (a, c, d)]
-    return np.array(faces, dtype=np.int64)
+    j, i = np.meshgrid(np.arange(nv), np.arange(nu), indexing="ij")
+    a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+    tris = np.stack([a, b, c, a, c, d], axis=-1)
+    if alternating:
+        flip = (j % 2 == 1)[..., None]
+        tris = np.where(flip, np.stack([a, b, d, b, c, d], axis=-1), tris)
+    return tris.reshape(-1, 3)
 
 
 def clifford_torus(nu: int, nv: int | None = None) -> SurfaceMesh:
@@ -291,12 +286,10 @@ def lawson_tau(m: int, k: int, nu: int, nv: int, sampling: str = "uniform",
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     N = _lawson_nu(m, k, xx, yy)
 
+    shift = nu // 2 if both_odd else 0  # crossing y = pi shifts x by -pi
+
     def vid(i, j):
-        if j >= nv:
-            if both_odd:     # crossing y = pi shifts x by -pi
-                i = i - nu // 2
-            j -= nv
-        return (i % nu) * nv + j
+        return (np.where(j >= nv, i - shift, i) % nu) * nv + j % nv
 
     F = _quad_faces(nu, nv, vid, alternating=alternating)
     mesh = SurfaceMesh(3, V, F, name=f"lawson_tau({m},{k},{nu}x{nv},{sampling})",
@@ -362,7 +355,9 @@ def weld_vertices(dimension: int, vertices: np.ndarray, faces: np.ndarray,
     if np.any((fmap[:, 0] == fmap[:, 1]) | (fmap[:, 1] == fmap[:, 2]) |
               (fmap[:, 0] == fmap[:, 2])):
         raise WeldFailure("a face degenerated under welding; tolerance mismatch")
-    _, first = np.unique(np.sort(fmap, axis=1), axis=0, return_index=True)
+    # one int64 key (a n + b) n + c per sorted face: exact below 2**21 (2.09 M) vertices
+    a, b, c = np.sort(fmap, axis=1).T
+    _, first = np.unique((a * n + b) * n + c, return_index=True)
     fnew = fmap[np.sort(first)]
     return SurfaceMesh(dimension, vertices[keep], fnew,
                        orientable=probe_orientability(fnew), name=name)

@@ -91,6 +91,37 @@ def test_disc_combinatorics():
     assert int(np.sum(m.boundary_vertex_mask)) == 6
 
 
+def _edge_table_by_rows(faces):
+    """The row-unique edge table that the integer keys replace (reference)."""
+    opp = np.sort(faces[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1)
+    edges, inverse = np.unique(opp, axis=0, return_inverse=True)
+    return edges, inverse.reshape(-1, 3)
+
+
+def test_edge_table_matches_the_row_unique_reference():
+    from spherelab.zoo import clifford_torus, great_sphere, veronese_rp2
+
+    relabel = np.random.default_rng(3).permutation(256)
+    inputs = [
+        _octahedron().faces,
+        _disc_fan().faces,
+        veronese_rp2(2).faces,     # dimension 4, non-orientable
+        great_sphere(3).faces,
+        relabel[clifford_torus(16).faces],
+        np.zeros((0, 3), dtype=np.int64),
+    ]
+    for F in inputs:
+        edges, ids = M._edge_table(F)
+        ref_edges, ref_ids = _edge_table_by_rows(F)
+        assert edges.dtype == ref_edges.dtype and ids.dtype == ref_ids.dtype
+        assert np.array_equal(edges, ref_edges) and edges.shape == ref_edges.shape
+        assert np.array_equal(ids, ref_ids) and ids.shape == ref_ids.shape
+
+
+def test_empty_face_list_is_orientable():
+    assert M.probe_orientability(np.zeros((0, 3), dtype=np.int64))
+
+
 def test_closed_mesh_rejects_declared_boundary():
     m = _octahedron()
     with pytest.raises(MeshInvariantError):
@@ -313,6 +344,7 @@ def test_refine_preserves_boundary():
     r = M.refine(m)
     assert len(r.boundary_loops) == 1
     assert len(r.boundary_loops[0]) == 2 * len(m.boundary_loops[0])
+    assert r.boundary_loops[0][::2] == m.boundary_loops[0]
     assert M.euler_characteristic(r) == 1
 
 

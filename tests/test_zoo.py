@@ -100,6 +100,36 @@ def test_clifford_torus_basics():
         clifford_torus(6)
 
 
+def _quad_faces_by_loop(nu, nv, vid, alternating):
+    """The nested loop that the array quad grid replaces (reference)."""
+    faces = []
+    for j in range(nv):
+        flip = alternating and (j % 2 == 1)
+        for i in range(nu):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            faces += [(a, b, d), (b, c, d)] if flip else [(a, b, c), (a, c, d)]
+    return np.array(faces, dtype=np.int64)
+
+
+def test_quad_grids_match_the_nested_loop():
+    # (mesh, nu, nv, x shift on crossing the top row, alternating diagonals)
+    cases = [
+        (clifford_torus(12, 10), 12, 10, 0, False),
+        (lawson_tau(3, 1, 16, 4), 16, 4, 8, False),        # both odd: half-lattice glue
+        (lawson_tau(2, 1, 16, 8), 16, 8, 0, False),        # mixed parity: no shift
+        (lawson_tau(3, 1, 16, 6, sampling="bipolar"), 16, 6, 8, True),
+    ]
+    for mesh, nu, nv, shift, alternating in cases:
+        def vid(i, j):
+            if j >= nv:
+                i, j = i - shift, j - nv
+            return (i % nu) * nv + j
+
+        ref = _quad_faces_by_loop(nu, nv, vid, alternating)
+        assert mesh.faces.dtype == ref.dtype
+        assert np.array_equal(mesh.faces, ref)
+
+
 def test_lawson_patch_stays_on_sphere():
     for pair in [(1, 1), (3, 1), (2, 1), (5, 3)]:
         assert lawson_patch(*pair).validate() < 1e-12
@@ -306,12 +336,20 @@ def test_veronese_area_converges():
 def test_weld_merges_offset_copies():
     V, F = icosphere(0)
     V2 = V * (1.0 + 1e-12)
-    # the copy's faces collapse onto the first ones, also with reversed winding
-    for F2 in (F, F[:, ::-1]):
-        welded = weld_vertices(2, np.vstack([V, V2]), np.vstack([F, F2 + len(V)]),
-                               tol=1e-9)
+    rotated_odd = F[::-1][::2][:, [1, 2, 0]]   # faces 19, 17, ..., 1, corners rotated
+    # (faces, welded faces): the copy's faces collapse onto the first ones,
+    # also with reversed winding; duplicates in other corner orders keep
+    # their first occurrence, in input order
+    cases = [
+        (np.vstack([F, F + len(V)]), F),
+        (np.vstack([F, F[:, ::-1] + len(V)]), F),
+        (np.vstack([F[::2], rotated_odd + len(V), F[1::2][:, [2, 1, 0]]]),
+         np.vstack([F[::2], rotated_odd])),
+    ]
+    for faces, expected in cases:
+        welded = weld_vertices(2, np.vstack([V, V2]), faces, tol=1e-9)
         assert np.array_equal(welded.vertices, V)
-        assert np.array_equal(welded.faces, F)
+        assert np.array_equal(welded.faces, expected)
 
 
 def test_weld_failure_on_collapsing_tolerance():

@@ -40,6 +40,7 @@ run build_veronese build veronese --level 4 -o veronese.mesh.json
 run build_xi21 build xi --config "$REPO/configs/xi21.json" -o xi21.mesh.json
 run build_xi31 build xi --config "$REPO/configs/xi31.json" -o xi31.mesh.json
 run build_tau24 build tau --m 3 --k 1 --nu 24 --nv 6 -o tau24.mesh.json
+run build_tau21 build tau --m 2 --k 1 --nu 32 --nv 16 -o tau21.mesh.json
 
 meshes=(sphere clifford tau31 veronese xi21 xi31)
 for m in "${meshes[@]}"; do
