@@ -91,7 +91,7 @@ class VertexField:
 def _edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """One integer key per undirected edge {u, v} of vertices below ``n``:
     lo * n + hi, which sorts exactly as the sorted (lo, hi) rows do."""
-    return np.minimum(u, v) * n + np.maximum(u, v)
+    return np.minimum(u, v).astype(np.int64, copy=False) * n + np.maximum(u, v)
 
 
 def _edge_table(faces: np.ndarray):

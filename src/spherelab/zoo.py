@@ -351,7 +351,7 @@ def weld_vertices(dimension: int, vertices: np.ndarray, faces: np.ndarray,
     # components are labelled in the order of their lowest vertex
     _, label = connected_components(close, directed=False)
     _, keep = np.unique(label, return_index=True)
-    fmap = label[faces]
+    fmap = label.astype(np.int64)[faces]   # scipy labels are int32: too narrow for face keys
     if np.any((fmap[:, 0] == fmap[:, 1]) | (fmap[:, 1] == fmap[:, 2]) |
               (fmap[:, 0] == fmap[:, 2])):
         raise WeldFailure("a face degenerated under welding; tolerance mismatch")

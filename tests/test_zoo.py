@@ -352,6 +352,20 @@ def test_weld_merges_offset_copies():
         assert np.array_equal(welded.faces, expected)
 
 
+def test_weld_face_keys_do_not_wrap_past_32_bits():
+    # 2**16 input vertices: a chain of near copies of vertex 0 (each within tol
+    # of the next) welds into it.  In 32-bit arithmetic the key (a n + b) n + c
+    # loses a n n, and faces sharing their two highest corners would collide.
+    V, F = icosphere(0)
+    top_two = np.sort(F, axis=1)[:, 1:]
+    assert len(np.unique(top_two, axis=0)) < len(F)
+    steps = np.arange(1, 2**16 - len(V) + 1)[:, None]
+    chain = V[0] + 6e-10 * steps * np.array([1.0, 0.0, 0.0])
+    welded = weld_vertices(2, np.vstack([V, chain]), F, tol=1e-9)
+    assert np.array_equal(welded.vertices, V)
+    assert np.array_equal(welded.faces, F)
+
+
 def test_weld_failure_on_collapsing_tolerance():
     V, F = icosphere(0)
     with pytest.raises(WeldFailure):
