@@ -61,7 +61,6 @@ import json
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ClosestPointAmbiguous, StepTooLarge
 from .mesh import SurfaceMesh, induced_metric, vertex_dual_areas
@@ -101,6 +100,8 @@ class _FaceCache:
     """Precomputed face geometry plus a centroid tree for candidate lookup."""
 
     def __init__(self, mesh: SurfaceMesh):
+        from scipy.spatial import cKDTree
+
         V, F = mesh.vertices, mesh.faces
         self.faces = F
         self.v0 = V[F[:, 0]]
@@ -328,8 +329,8 @@ class TubeField:
                                      repr=False)
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("tube radius must be positive")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon = {self.epsilon} must be finite and positive")
         times = [t for t, _ in self.u_schedule]
         if len(times) < 1 or list(times) != sorted(times):
             raise ValueError("u_schedule must be nonempty and time-sorted")
@@ -564,10 +565,13 @@ def integrate_palais_flow(field: TubeField, ensemble: ParticleEnsemble,
 
     Stages re-project to the sphere; a particle whose four stage velocities
     all vanish is left bit-identical (the field's support guarantee).
-    Raises ValueError unless dt > 0 and t_end >= 0, and StepTooLarge unless
-    dt <= epsilon / (4 max|grad|), so no particle can cross the tube shell
-    in a single step.
+    Raises ValueError unless dt > 0 and t_end >= 0 are finite, and
+    StepTooLarge unless dt <= epsilon / (4 max|grad|), so no particle can
+    cross the tube shell in a single step.
     """
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} = {value} must be finite")
     if not dt > 0:
         raise ValueError(f"dt = {dt} must be positive")
     if not t_end >= 0:

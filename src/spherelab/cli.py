@@ -278,11 +278,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    for tol_attr in ("tol", "flow_tol"):
-        if getattr(args, tol_attr, 1.0) <= 0:
-            print(f"error: --{tol_attr.replace('_', '-')} must be positive",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
     try:
         return args.func(args)
     except _NUMERIC_ERRORS as err:

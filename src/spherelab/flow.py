@@ -160,10 +160,13 @@ def run_uniformization(mesh: SurfaceMesh, tol: float = 1e-4,
     with a the Euclidean-law area of the induced metric (for chi = 0 the
     target is exactly zero).  Raises NonConvergence, carrying the trace and the
     last accepted state, when the step budget or the dt floor is exhausted.
-    Raises ValueError for an open mesh or max_steps < 1.
+    Raises ValueError for an open mesh, a tol that is not finite and
+    positive, or max_steps < 1.
     """
     if not mesh.is_closed:
         raise ValueError("the flow runs on closed meshes")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol = {tol} must be finite and positive")
     if max_steps < 1:
         raise ValueError(f"max_steps = {max_steps} must be at least 1")
     base = induced_metric(mesh).as_euclidean()

@@ -23,7 +23,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import FieldMeshMismatch, ModulusOutOfRange, NonpositiveWillmore
 from .extrinsic import ExtrinsicField
@@ -169,6 +168,8 @@ def complete_elliptic_E(k: float) -> float:
     """
     if not (0.0 <= k < 1.0):
         raise ModulusOutOfRange(f"modulus {k} outside [0, 1)")
+    from scipy.integrate import quad
+
     k2 = k * k
     val, err = quad(lambda t: np.sqrt(1.0 - k2 * np.sin(t) ** 2), 0.0, np.pi / 2,
                     epsabs=1e-14, epsrel=1e-13)

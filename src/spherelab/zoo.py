@@ -29,9 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import quad
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .errors import (
     ModulusOutOfRange,
@@ -318,6 +316,8 @@ def lawson_tau_area(m: int, k: int) -> float:
     elliptic-integral route lives in the functionals module; the two are
     cross-checked in the tests.
     """
+    from scipy.integrate import quad
+
     _check_lawson_pair(m, k)
     val, err = quad(lambda y: np.sqrt(m * m * np.cos(y) ** 2 + k * k * np.sin(y) ** 2),
                     0.0, np.pi, epsabs=1e-13, epsrel=1e-13)
@@ -342,6 +342,8 @@ def weld_vertices(dimension: int, vertices: np.ndarray, faces: np.ndarray,
     tolerance does not match the geometry and raises WeldFailure.
     Orientability is probed from the quotient.
     """
+    from scipy.spatial import cKDTree
+
     vertices = np.asarray(vertices, dtype=float)
     faces = np.asarray(faces, dtype=np.int64)
     n = len(vertices)

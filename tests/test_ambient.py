@@ -557,8 +557,17 @@ def test_too_wide_a_tube_is_refused_instead_of_sampled_forever():
         build_ensemble(field)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, np.nan, np.inf])
+def test_tube_radius_must_be_finite_and_positive(epsilon):
+    mesh = lawson_tau(3, 1, 24, 6)
+    with pytest.raises(ValueError, match="^epsilon = "):
+        TubeField.from_flow(mesh, np.zeros(mesh.n_vertices), epsilon=epsilon)
+
+
 @pytest.mark.parametrize("t_end, dt, name", [(0.1, 0.0, "dt"), (0.1, -1e-3, "dt"),
-                                             (-0.1, 1e-3, "t_end")])
+                                             (-0.1, 1e-3, "t_end"),
+                                             (np.inf, 1e-3, "t_end"),
+                                             (0.1, np.nan, "dt")])
 def test_integration_refuses_nonpositive_dt_and_negative_t_end(t_end, dt, name):
     _, _, field = _torus_field(a=0.002, b=0.0015)
     ens = build_ensemble(field, 2, 2, 0, seed=8)

@@ -13,13 +13,18 @@ REPO = Path(__file__).resolve().parents[1]
 XI_CONFIG = str(REPO / "configs" / "xi21.json")
 
 
-def run_cli(args, cwd, timeout=None):
-    # the child runs from cwd, so this checkout's src goes first on its path
+def _child_env():
+    # the child runs from its own cwd, so this checkout's src goes first on
+    # its path
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_cli(args, cwd, timeout=None):
     proc = subprocess.run([sys.executable, "-m", "spherelab.cli", *args],
-                          cwd=cwd, env=env, capture_output=True, text=True,
+                          cwd=cwd, env=_child_env(), capture_output=True, text=True,
                           timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -109,6 +114,38 @@ def test_nonpositive_tolerance_rejected(tmp_path):
         ["flow", "--mesh", "clifford_torus-8x8.mesh.json", "--tol", "-1"], tmp_path)
     assert rc == 2
     assert "positive" in err
+
+
+_LAZY_IMPORT_PROBE = """
+import json, sys
+import spherelab.cli as cli
+lazy = ("scipy.integrate", "scipy.spatial")
+seen = {"import": [m in sys.modules for m in lazy]}
+assert cli.main(["build", "clifford", "--nu", "8", "--nv", "8", "-o", "c.mesh.json"]) == 0
+assert cli.main(["measure", "--mesh", "c.mesh.json", "-o", "c.csv"]) == 0
+assert cli.main(["flow", "--mesh", "c.mesh.json", "-o", "c.trace.csv"]) == 0
+assert cli.main(["table", "--meshes", "c.mesh.json", "-o", "t.csv"]) == 0
+seen["commands"] = [m in sys.modules for m in lazy]
+from spherelab.mesh import load_mesh
+from spherelab.zoo import lawson_tau_area, weld_vertices
+mesh = load_mesh("c.mesh.json")
+weld_vertices(mesh.dimension, mesh.vertices, mesh.faces)
+lawson_tau_area(3, 1)
+seen["called"] = [m in sys.modules for m in lazy]
+print(json.dumps(seen))
+"""
+
+
+def test_quadrature_and_tree_are_imported_only_where_they_run(tmp_path):
+    # measure, flow, table and build clifford call neither quad nor a k-d
+    # tree; the imports still happen inside the functions that use them
+    proc = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_PROBE], cwd=tmp_path,
+                          env=_child_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"import": [False, False], "commands": [False, False],
+                    "called": [True, True]}
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +281,11 @@ def test_ambient_on_a_uniform_surface_moves_nothing(tmp_path):
     ("flow", ["--max-steps", "-3"], "max_steps"),
     ("ambient", ["--t-end", "-0.1"], "t_end"),
     ("ambient", ["--dt", "-0.001"], "dt"),
+    ("ambient", ["--t-end", "inf"], "t_end"),
+    ("ambient", ["--epsilon", "nan"], "epsilon"),
+    ("ambient", ["--flow-tol", "nan"], "tol"),
+    ("flow", ["--tol", "nan"], "tol"),
+    ("flow", ["--tol", "inf"], "tol"),
 ])
 def test_invalid_step_inputs_exit_two_naming_the_argument(tmp_path, command,
                                                           args, name):

@@ -321,3 +321,9 @@ def test_each_scaled_metric_checks_the_triangle_inequality_once(monkeypatch):
 def test_step_budget_below_one_is_refused(max_steps):
     with pytest.raises(ValueError, match="max_steps"):
         run_uniformization(clifford_torus(16), max_steps=max_steps)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="^tol = .* positive"):
+        run_uniformization(clifford_torus(16), tol=tol)

@@ -60,6 +60,10 @@ run_code ambient_negative_dt ambient --mesh tau24.mesh.json --t-end 0.1 \
     --dt -0.001 --out-dir ambient_negative_dt
 run_code ambient_uniform ambient --mesh clifford.mesh.json --t-end 0.1 \
     --out-dir ambient_uniform
+run_code ambient_infinite_t_end ambient --mesh tau24.mesh.json --t-end inf \
+    --out-dir ambient_infinite_t_end
+run_code flow_nan_tol flow --mesh clifford.mesh.json --tol nan --max-steps 5 \
+    -o clifford_nan_tol.trace.csv
 python -c 'import json, sys
 cfg = json.load(open(sys.argv[1]))
 cfg["max_iter"] = 5
