@@ -17,9 +17,12 @@ Two estimator routes live here, with distinct jobs:
   codimension (and a regular one-ring lies on a conic, which makes its
   quadric fit singular).  Vertices are grouped by exact two-ring size and
   each group runs in fixed chunks through one batched kernel (log map,
-  tangent frames, weighted design, one batched SVD); vertices whose normal
-  equations fail the condition test run through it again on the stencil
-  widened by one more ring before the fit gives up.
+  tangent frames, weighted design, one batched normal-equations solve);
+  vertices whose normal equations fail the condition test run through it
+  again on the stencil widened by one more ring before the fit gives up.
+  On an orientable surface in S^3 the tangent frames come from normals
+  aggregated over the faces, never from normals a builder attached, so a
+  mesh read back from a file fits exactly like the mesh that was built.
 
 * the cotan Laplacian through the identity  Delta_Sigma x = H - 2 x  for
   surfaces of the unit sphere (so minimal surfaces satisfy Delta x = -2x,
@@ -76,6 +79,8 @@ _COND_LIMIT = 1e8
 _MIN_NEIGHBORS = 5
 # vertices per batched fit: bounds the working arrays at no cost in speed
 _CHUNK = 256
+# faces per block of the normal aggregation, for the same reason
+_FACE_BLOCK = 4096
 
 
 def cotan_laplacian(mesh: SurfaceMesh, metric: DiscreteMetric | None = None) -> sp.csr_matrix:
@@ -152,43 +157,62 @@ def max_mean_curvature(mesh: SurfaceMesh) -> float:
 
 
 def _cross4(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Row-wise generalised cross product in R^4 (orthogonal to a, b, c)."""
-    out = np.empty_like(a)
-    cols = [0, 1, 2, 3]
-    sign = 1.0
-    for k in range(4):
-        rest = cols[:k] + cols[k + 1:]
-        m = np.stack([a[:, rest], b[:, rest], c[:, rest]], axis=1)
-        out[:, k] = sign * np.linalg.det(m)
-        sign = -sign
-    return out
+    """Row-wise generalised cross product in R^4 (orthogonal to a, b, c).
+
+    Component k is (-1)^k times the 3x3 minor without column k, expanded
+    along a over the 2x2 minors p_ij of (b, c).
+    """
+    def p(i, j):
+        return b[:, i] * c[:, j] - b[:, j] * c[:, i]
+
+    p01, p02, p03, p12, p13, p23 = p(0, 1), p(0, 2), p(0, 3), p(1, 2), p(1, 3), p(2, 3)
+    a0, a1, a2, a3 = a.T
+    return np.column_stack([
+        a1 * p23 - a2 * p13 + a3 * p12,
+        -(a0 * p23 - a2 * p03 + a3 * p02),
+        a0 * p13 - a1 * p03 + a3 * p01,
+        -(a0 * p12 - a1 * p02 + a2 * p01),
+    ])
+
+
+def _aggregated_normals(mesh: SurfaceMesh) -> np.ndarray:
+    """Unit vertex normals of an orientable mesh in S^3 from its vertices and
+    faces alone: the R^4 cross product of (centroid, edge, edge) of each
+    oriented face, summed over the faces around each vertex, projected
+    tangent to the sphere and normalised.  Faces run in blocks of
+    ``_FACE_BLOCK`` so the working arrays stay small on large meshes."""
+    X, F = mesh.vertices, mesh.oriented_faces
+    n = len(X)
+    acc = np.zeros((n, 4))
+    for lo in range(0, len(F), _FACE_BLOCK):
+        f = F[lo:lo + _FACE_BLOCK]
+        v0, v1, v2 = X[f[:, 0]], X[f[:, 1]], X[f[:, 2]]
+        n_face = _cross4((v0 + v1 + v2) / 3.0, v1 - v0, v2 - v0)
+        for k in range(4):
+            for c in range(3):
+                acc[:, k] += np.bincount(f[:, c], n_face[:, k], minlength=n)
+    from .sphere import tangent_project_rows
+
+    acc = tangent_project_rows(X, acc)
+    norms = np.linalg.norm(acc, axis=1, keepdims=True)
+    if np.any(norms <= 1e-14):
+        raise InsufficientNeighborhood("vanishing aggregated normal at a vertex")
+    return acc / norms
 
 
 def surface_normals(mesh: SurfaceMesh) -> np.ndarray:
     """Unit normal field of a surface in S^3 (codimension one in the sphere).
 
     Returns the builder-provided analytic normals when present; otherwise
-    aggregates the R^4 cross product of (position, edge, edge) over the
-    oriented faces around each vertex.  Only defined for dimension 3.
+    the aggregated normals of the oriented faces, the ones the quadric fit
+    builds its tangent frames from.  Only defined for dimension 3.
     """
     if mesh.dimension != 3:
         raise DimensionMismatch(
             "a single normal field needs codimension one, i.e. a surface in S^3")
     if mesh.vertex_normals is not None:
         return mesh.vertex_normals.copy()
-    F = mesh.oriented_faces
-    v0, v1, v2 = mesh.vertices[F[:, 0]], mesh.vertices[F[:, 1]], mesh.vertices[F[:, 2]]
-    centers = (v0 + v1 + v2) / 3.0
-    n_face = _cross4(centers, v1 - v0, v2 - v0)
-    acc = np.zeros_like(mesh.vertices)
-    np.add.at(acc, F.ravel(), np.repeat(n_face, 3, axis=0))
-    from .sphere import tangent_project_rows
-
-    acc = tangent_project_rows(mesh.vertices, acc)
-    norms = np.linalg.norm(acc, axis=1, keepdims=True)
-    if np.any(norms <= 1e-14):
-        raise InsufficientNeighborhood("vanishing aggregated normal at a vertex")
-    return acc / norms
+    return _aggregated_normals(mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +266,17 @@ def _unit_rows(t: np.ndarray) -> np.ndarray:
     return t / np.sqrt(t[:, None, :] @ t[:, :, None])[:, 0]
 
 
-def _tangent_frames(mesh: SurfaceMesh, ids: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _tangent_frames(X: np.ndarray, normals, ids: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Orthonormal (n, 2, d+1) surface-tangent frames at vertices ``ids``.
 
-    With analytic vertex normals (S^3) each is the exact orthogonal
-    complement of span(position, normal); otherwise a PCA of the log-mapped
-    neighbourhood directions W.
+    With vertex normals (orientable meshes in S^3, see
+    :func:`_aggregated_normals`) each is the exact orthogonal complement of
+    span(position, normal); otherwise (``normals`` is None: surfaces in S^4
+    and S^5, non-orientable meshes) a PCA of the log-mapped neighbourhood
+    directions W.
     """
-    if mesh.dimension == 3 and mesh.vertex_normals is not None:
-        x, nu = mesh.vertices[ids], mesh.vertex_normals[ids]
+    if normals is not None:
+        x, nu = X[ids], normals[ids]
         span = np.stack([x, nu], axis=1)
         e = np.eye(4)[np.argmin(np.sum(span ** 2, axis=1), axis=1)]
         t1 = _unit_rows(e - (span.transpose(0, 2, 1) @ (span @ e[:, :, None]))[..., 0])
@@ -265,11 +291,12 @@ def _tangent_frames(mesh: SurfaceMesh, ids: np.ndarray, W: np.ndarray) -> np.nda
     return Vt[:, :2]
 
 
-def _fit_chunk(mesh: SurfaceMesh, ids: np.ndarray, nb: np.ndarray):
+def _fit_chunk(X: np.ndarray, normals, ids: np.ndarray, nb: np.ndarray):
     """(alpha_sq, trace, ok) of the quadric fits at vertices ``ids`` over the
-    (n, k) stencils ``nb``; ok is False where the design is ill-conditioned."""
-    W = _log_map(mesh.vertices, ids, nb)
-    T = _tangent_frames(mesh, ids, W)
+    (n, k) stencils ``nb`` of the positions X; ok is False where the design
+    is ill-conditioned, and those rows are not solved."""
+    W = _log_map(X, ids, nb)
+    T = _tangent_frames(X, normals, ids, W)
     uv = W @ T.transpose(0, 2, 1)
     normal_part = W - uv @ T
     r = np.linalg.norm(uv, axis=2)
@@ -279,12 +306,15 @@ def _fit_chunk(mesh: SurfaceMesh, ids: np.ndarray, nb: np.ndarray):
     design = np.stack([
         np.ones_like(u), u, w, 0.5 * u * u, u * w, 0.5 * w * w,
     ], axis=2) * wts[..., None]
-    U, sv, Vt = np.linalg.svd(design, full_matrices=False)
     rhs = (normal_part / scale[..., None]) * wts[..., None]
-    # rows that fail the test may divide by a zero singular value; ok drops them
+    # normal equations: cond(M) = lam_max / lam_min is cond(design)^2
+    At = design.transpose(0, 2, 1)
+    M = At @ design
+    lam = np.linalg.eigvalsh(M)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ok = (sv[:, -1] > 0.0) & ((sv[:, 0] / sv[:, -1]) ** 2 <= _COND_LIMIT)
-        coef = Vt.transpose(0, 2, 1) @ ((U.transpose(0, 2, 1) @ rhs) / sv[..., None])
+        ok = (lam[:, 0] > 0.0) & (lam[:, -1] / lam[:, 0] <= _COND_LIMIT)
+    coef = np.zeros((len(ids), 6, X.shape[1]))
+    coef[ok] = np.linalg.solve(M[ok], At[ok] @ rhs[ok])
     # coordinates and heights were divided by `scale`, so the quadratic
     # coefficients come back multiplied by one factor of it
     a, b, c = (coef[:, 3:] / scale[..., None]).transpose(1, 0, 2)
@@ -292,34 +322,39 @@ def _fit_chunk(mesh: SurfaceMesh, ids: np.ndarray, nb: np.ndarray):
     return alpha_sq, a + c, ok
 
 
-def _fit_stencils(mesh: SurfaceMesh, ids: np.ndarray, stencil: sp.csr_matrix):
+def _fit_stencils(X: np.ndarray, normals, ids: np.ndarray, stencil: sp.csr_matrix):
     """(alpha_sq, trace, ok) at vertices ``ids`` over the rows of ``stencil``,
     grouped by exact stencil size and fitted in chunks of ``_CHUNK``."""
     n = len(ids)
-    alpha_sq, trace = np.empty(n), np.empty((n, mesh.vertices.shape[1]))
+    alpha_sq, trace = np.empty(n), np.empty((n, X.shape[1]))
     ok = np.empty(n, dtype=bool)
     sizes = np.diff(stencil.indptr)
     for k in np.unique(sizes):
         group = np.flatnonzero(sizes == k)
         for rows in np.split(group, np.arange(_CHUNK, len(group), _CHUNK)):
             nb = stencil.indices[stencil.indptr[rows, None] + np.arange(k)]
-            alpha_sq[rows], trace[rows], ok[rows] = _fit_chunk(mesh, ids[rows], nb)
+            alpha_sq[rows], trace[rows], ok[rows] = _fit_chunk(X, normals, ids[rows], nb)
     return alpha_sq, trace, ok
 
 
 def _quadric_scan(mesh: SurfaceMesh):
     """alpha_sq and fitted-trace H per vertex: two-ring stencil by default,
-    widened by one more ring where the normal equations are degenerate."""
+    widened by one more ring where the normal equations are degenerate.
+    Orientable meshes in S^3 take their frames from the aggregated normals,
+    computed once here; any attached ``vertex_normals`` are ignored, so a
+    mesh fits the same whether it was built or loaded from a file."""
     adjacency, two = _rings(mesh)
     sizes = np.diff(two.indptr)
     few = np.flatnonzero(sizes < _MIN_NEIGHBORS)
     if len(few):
         raise InsufficientNeighborhood(
             f"vertex {few[0]} has only {sizes[few[0]]} two-ring neighbours")
-    alpha_sq, trace, ok = _fit_stencils(mesh, np.arange(mesh.n_vertices), two)
+    X = mesh.vertices
+    normals = _aggregated_normals(mesh) if mesh.dimension == 3 and mesh.orientable else None
+    alpha_sq, trace, ok = _fit_stencils(X, normals, np.arange(mesh.n_vertices), two)
     redo = np.flatnonzero(~ok)
     if len(redo):
-        a, t, ok = _fit_stencils(mesh, redo, _widen(adjacency, two[redo], redo))
+        a, t, ok = _fit_stencils(X, normals, redo, _widen(adjacency, two[redo], redo))
         if not ok.all():
             raise IllConditionedFit(
                 f"quadric fit at vertex {redo[~ok][0]} is ill-conditioned even on "
@@ -336,10 +371,14 @@ def second_fundamental_norm(mesh: SurfaceMesh) -> VertexField:
     normal heights, and each height component is fitted by a full quadratic
     ``c0 + c1 u + c2 v + a u^2/2 + b uv + c v^2/2`` with inverse-distance
     weights.  |alpha|^2 is the squared Frobenius norm of the fitted Hessian,
-    summed over the normal directions.  The stencil is the two-ring; vertices
-    with equally many neighbours are fitted together, in fixed-size chunks,
-    by one batched SVD, and those whose normal equations exceed condition
-    number 1e8 are fitted again on the stencil widened by one more ring.
+    summed over the normal directions.  The (u, v) frame of an orientable
+    surface in S^3 completes span(position, aggregated normal), so the fit
+    reads only vertices and faces; other surfaces take a PCA frame of the
+    log-mapped neighbourhood.  The stencil is the two-ring; vertices with
+    equally many neighbours are fitted together, in fixed-size chunks, by
+    one batched solve of the 6x6 normal equations, and those whose normal
+    equations exceed condition number 1e8 are fitted again on the stencil
+    widened by one more ring.
     Raises InsufficientNeighborhood below 5 neighbours, on duplicate
     positions or a neighbourhood spanning no tangent plane, and
     IllConditionedFit when a widened fit stays ill-conditioned.

@@ -172,6 +172,23 @@ def test_measure_clifford_row_and_determinism(tmp_path):
     assert (tmp_path / "m.csv").read_text() == out1[: out1.index("wrote")]
 
 
+def test_measure_of_a_mesh_file_reports_the_built_meshs_willmore_energy(tmp_path):
+    from spherelab.extrinsic import ExtrinsicField
+    from spherelab.functionals import evaluate_functionals
+    from spherelab.zoo import lawson_tau
+
+    rc, _, err = run_cli(["build", "tau", "--m", "3", "--k", "1", "--nu", "64", "--nv", "16",
+                          "-o", "tau.mesh.json"], tmp_path)
+    assert rc == 0, err
+    rc, out, err = run_cli(["measure", "--mesh", "tau.mesh.json"], tmp_path)
+    assert rc == 0, err
+    # the name holds commas: willmore is the sixth column from the right
+    willmore = float(out.splitlines()[1].split(",")[-6])
+    built = lawson_tau(3, 1, 64, 16)
+    assert willmore == evaluate_functionals(built, ExtrinsicField.compute(built)).willmore
+    assert abs(willmore - 170.0354) < 1e-4
+
+
 def test_measure_missing_file_is_io_error(tmp_path):
     rc, _, err = run_cli(["measure", "--mesh", "nope.mesh.json"], tmp_path)
     assert rc == 4

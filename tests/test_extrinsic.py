@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from spherelab.extrinsic import (
     second_fundamental_norm,
     surface_normals,
 )
-from spherelab.mesh import SurfaceMesh, induced_metric
+from spherelab.mesh import SurfaceMesh, induced_metric, load_mesh, save_mesh
+from spherelab.plateau import build_xi
 from spherelab.sphere import SphereIsometry
 from spherelab.zoo import (
     clifford_torus,
@@ -25,6 +28,9 @@ from spherelab.zoo import (
     lawson_tau,
     veronese_rp2,
 )
+
+
+XI21 = Path(__file__).resolve().parents[1] / "configs" / "xi21.json"
 
 
 def _rotation(dim, seed):
@@ -125,7 +131,7 @@ def test_isometry_equivariance_of_the_field():
 
 def test_alpha_sq_does_not_need_analytic_normals():
     m = clifford_torus(32)
-    bare = SurfaceMesh(3, m.vertices, m.faces, name="bare")  # PCA frames
+    bare = SurfaceMesh(3, m.vertices, m.faces, name="bare")  # no normals attached
     a_exact = second_fundamental_norm(m).values
     a_pca = second_fundamental_norm(bare).values
     assert np.max(np.abs(a_exact - 2.0)) < 0.15
@@ -216,15 +222,30 @@ def _balls(mesh, radius):
     return out
 
 
-def _reference_fit(mesh, v, nb):
+def _reference_normals(mesh):
+    """Aggregated face normals of an orientable mesh in S^3, face by face:
+    component k of the R^4 cross product of (centroid, edge, edge) is the
+    determinant with rows (e_k, centroid, edge, edge)."""
+    acc = np.zeros_like(mesh.vertices)
+    for f in mesh.oriented_faces:
+        p0, p1, p2 = mesh.vertices[f]
+        rows = np.array([(p0 + p1 + p2) / 3, p1 - p0, p2 - p0])
+        n = np.array([np.linalg.det(np.vstack([e, rows])) for e in np.eye(4)])
+        for v in f:
+            acc[v] += n
+    acc -= np.sum(acc * mesh.vertices, axis=1)[:, None] * mesh.vertices
+    return acc / np.linalg.norm(acc, axis=1)[:, None]
+
+
+def _reference_fit(mesh, v, nb, normals):
     """(alpha_sq, trace, cond^2) of one vertex by weighted np.linalg.lstsq."""
     x, P = mesh.vertices[v], mesh.vertices[nb]
     dots = np.clip(P @ x, -1.0, 1.0)
     w = P - dots[:, None] * x
     W = w * (np.arccos(dots) / np.linalg.norm(w, axis=1))[:, None]
-    if mesh.vertex_normals is not None:
+    if normals is not None:
         # the tangent plane completes span(x, normal) to an orthonormal basis
-        Q, _ = np.linalg.qr(np.column_stack([x, mesh.vertex_normals[v], np.eye(4)]))
+        Q, _ = np.linalg.qr(np.column_stack([x, normals[v], np.eye(4)]))
         T = Q[:, 2:4].T
     else:
         T = np.linalg.svd(W / np.linalg.norm(W, axis=1)[:, None])[2][:2]
@@ -242,7 +263,9 @@ def _reference_fit(mesh, v, nb):
 
 
 def _reference_scan(mesh, stencils):
-    fits = [_reference_fit(mesh, v, nb) for v, nb in enumerate(stencils)]
+    # frames from aggregated normals on orientable meshes in S^3, PCA otherwise
+    normals = _reference_normals(mesh) if mesh.dimension == 3 and mesh.orientable else None
+    fits = [_reference_fit(mesh, v, nb, normals) for v, nb in enumerate(stencils)]
     return (np.array([f[0] for f in fits]), np.array([f[1] for f in fits]),
             np.array([f[2] for f in fits]))
 
@@ -256,7 +279,7 @@ def _assert_close(got, ref):
     lambda: great_sphere(2),           # ring sizes 15, 17 and 18: three groups
     lambda: geodesic_sphere(2, np.pi / 4),
     lambda: veronese_rp2(1),           # codimension 2, PCA frames
-    lambda: clifford_torus(16),        # analytic normals
+    lambda: clifford_torus(16),        # analytic normals attached, not used
 ])
 def test_batched_fit_matches_per_vertex_lstsq(build):
     m = build()
@@ -282,3 +305,48 @@ def test_ill_conditioned_two_rings_are_refitted_on_the_widened_stencil(monkeypat
     monkeypatch.setattr(extrinsic, "_COND_LIMIT", 1.0)
     with pytest.raises(IllConditionedFit, match="vertex 0 "):
         extrinsic._quadric_scan(m)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: clifford_torus(32),
+    lambda: lawson_tau(3, 1, 64, 16),
+    lambda: great_sphere(3),
+    lambda: build_xi(XI21)[0],
+], ids=["clifford 32x32", "tau31 64x16", "great sphere L3", "xi21"])
+def test_fit_is_bit_identical_for_built_bare_and_reloaded_meshes(build, tmp_path):
+    # the fit reads only vertices and faces: attached normals change nothing,
+    # and neither does a trip through a mesh file, which carries none
+    built = build()
+    bare = built.with_vertices(built.vertices)
+    assert bare.vertex_normals is None
+    save_mesh(built, tmp_path / "m.mesh.json")
+    fields = [ExtrinsicField.compute(m) for m in (built, bare, load_mesh(tmp_path / "m.mesh.json"))]
+    for other in fields[1:]:
+        for name in ("mean_curvature", "alpha_sq", "scalar_curvature", "residual"):
+            assert np.array_equal(getattr(other, name), getattr(fields[0], name)), name
+
+
+def test_a_singular_design_fails_its_row_and_the_rest_of_the_chunk_is_fitted():
+    m = great_sphere(2)
+    X, normals = m.vertices, extrinsic._aggregated_normals(m)
+    _, two = extrinsic._rings(m)
+    k = 18
+    ids = np.flatnonzero(np.diff(two.indptr) == k)[:6]
+    nb = two.indices[two.indptr[ids, None] + np.arange(k)]
+    # row 0: k neighbours on one great circle through its centre, so (u, v)
+    # lie on a line and the quadric design has rank 3
+    x, nu = X[ids[0]], normals[ids[0]]
+    t = np.array([1.0, 2.0, 3.0, 4.0])
+    t -= (t @ x) * x + (t @ nu) * nu
+    t /= np.linalg.norm(t)
+    theta = np.linspace(0.02, 0.4, k) * np.where(np.arange(k) % 2, 1.0, -1.0)
+    circle = np.cos(theta)[:, None] * x + np.sin(theta)[:, None] * t
+    X = np.vstack([X, circle])
+    normals = np.vstack([normals, np.zeros_like(circle)])
+    nb[0] = m.n_vertices + np.arange(k)
+    alpha_sq, trace, ok = extrinsic._fit_chunk(X, normals, ids, nb)
+    assert not ok[0] and ok[1:].all()
+    ref_a, ref_H, ok_ref = extrinsic._fit_chunk(X, normals, ids[1:], nb[1:])
+    assert ok_ref.all()
+    _assert_close(alpha_sq[1:], ref_a)
+    _assert_close(trace[1:], ref_H)

@@ -47,6 +47,8 @@ for m in "${meshes[@]}"; do
     run "measure_$m" measure --mesh "$m.mesh.json" -o "$m.measure.csv"
 done
 run table table --meshes "${meshes[@]/%/.mesh.json}" -o table.csv
+# the fit on this mesh sets the default tube radius of ambient_tau24
+run measure_tau24 measure --mesh tau24.mesh.json -o tau24.measure.csv
 
 run flow_tau31 flow --mesh tau31.mesh.json -o tau31.trace.csv
 run flow_veronese flow --mesh veronese.mesh.json -o veronese.trace.csv
