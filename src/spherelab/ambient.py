@@ -120,6 +120,24 @@ class _FaceCache:
                               for k in range(3)], axis=0)
         self.max_spread = float(self.radius.max())
         self.n_faces = len(F)
+        # jacobian[f, code] maps (u1 - u0, u2 - u0) to the gradient of u o cp
+        # when cp lies on the feature of face f whose corners are the bits of
+        # code (1, 2, 4 for corners 0, 1, 2): edges 3, 5, 6 and the face 7;
+        # cp is constant at a corner, so codes 0, 1, 2 and 4 stay zero
+        e0, e1, e2 = self.ab, self.ac, self.ac - self.ab
+        m00 = np.sum(e0 * e0, axis=1)[:, None]
+        m01 = np.sum(e0 * e1, axis=1)[:, None]
+        m11 = np.sum(e1 * e1, axis=1)[:, None]
+        det = m00 * m11 - m01 * m01
+        J = np.zeros((len(F), 8, V.shape[1], 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            J[:, 3, :, 0] = e0 / m00
+            J[:, 5, :, 1] = e1 / m11
+            J[:, 6, :, 1] = e2 / np.sum(e2 * e2, axis=1)[:, None]
+            J[:, 6, :, 0] = -J[:, 6, :, 1]
+            J[:, 7, :, 0] = (m11 * e0 - m01 * e1) / det
+            J[:, 7, :, 1] = (m00 * e1 - m01 * e0) / det
+        self.jacobian = J
 
 
 class _CandidateRecord:
@@ -419,34 +437,11 @@ def _field_batch(field: TubeField, X: np.ndarray, t: float,
     B, dB = _bump(dist, eps)
     vals = u_cp * B
 
-    # Jacobian term of u o cp, per closest-feature region
-    ab, ac = cache.ab[fi], cache.ac[fi]
-    g = np.zeros_like(Xl)
-    interior = (bary > 0).all(axis=1)
-    if np.any(interior):
-        e0, e1 = ab[interior], ac[interior]
-        m00 = np.sum(e0 * e0, axis=1)
-        m01 = np.sum(e0 * e1, axis=1)
-        m11 = np.sum(e1 * e1, axis=1)
-        det = m00 * m11 - m01 * m01
-        r0 = (u1 - u0)[interior]
-        r1 = (u2 - u0)[interior]
-        c0 = (m11 * r0 - m01 * r1) / det
-        c1 = (m00 * r1 - m01 * r0) / det
-        g[interior] = c0[:, None] * e0 + c1[:, None] * e1
-    for za, zb, zc in ((2, 0, 1), (1, 0, 2), (0, 1, 2)):
-        # closest point on the edge (zb, zc): bary[za] == 0, others > 0
-        on_edge = (bary[:, za] == 0.0) & (bary[:, zb] > 0) & (bary[:, zc] > 0)
-        if not np.any(on_edge):
-            continue
-        vb = cache.v0[fi[on_edge]] + (ab[on_edge] if zb == 1 else 0) + \
-            (ac[on_edge] if zb == 2 else 0)
-        vcoord = cache.v0[fi[on_edge]] + (ab[on_edge] if zc == 1 else 0) + \
-            (ac[on_edge] if zc == 2 else 0)
-        tvec = vcoord - vb
-        du = u[F[on_edge, zc]] - u[F[on_edge, zb]]
-        g[on_edge] = tvec * (du / np.sum(tvec * tvec, axis=1))[:, None]
-    # vertex regions: cp constant, Jacobian zero — g already zero there
+    # Jacobian of u o cp from the closest feature's code; a row with a
+    # negative (rounding) barycentric entry takes code 0, a zero Jacobian
+    code = np.where((bary >= 0).all(axis=1), (bary > 0) @ np.array([1, 2, 4]), 0)
+    g = np.einsum("nij,nj->ni", cache.jacobian[fi, code],
+                  np.column_stack([u1 - u0, u2 - u0]))
 
     radial = np.zeros_like(Xl)
     off = dist > 0
@@ -615,40 +610,38 @@ def _reproject(X: np.ndarray) -> np.ndarray:
 
 
 def curved_surface_distance(field: TubeField, X: np.ndarray) -> np.ndarray:
-    """Distance from each point to the curved faces of ``field.source_mesh``.
+    """Distance from each point to the curved faces near it.
 
     Faces are radially projected onto the sphere: each becomes the patch of
     the great 2-sphere spanned by its vertices with nonnegative cone
-    coefficients.  The distance also considers curved edges and vertices,
-    so it is the honest distance to the curved surface.
+    coefficients.  Each point is measured against the 12 faces with the
+    nearest centroids, their curved edges and their vertices; this is the
+    distance to the curved surface only when the nearest curved face is
+    among those 12, which nothing certifies.  A face or edge with vertex
+    rows T counts when its cone coefficients q = (T T^t)^-1 T x are all
+    >= -1e-12 and T^t q is nonzero; the point is then T^t q / |T^t q|.
     """
     cache = field._cache
     V, F = field.source_mesh.vertices, field.source_mesh.faces
-    out = np.empty(len(X))
     k = min(12, cache.n_faces)
     _, candidates = cache.tree.query(X, k=k)
-    candidates = np.atleast_2d(candidates)
-    for i, x in enumerate(X):
-        best = np.inf
-        for f in candidates[i]:
-            tri = V[F[f]]
-            # projection onto the linear span, then radially to the sphere
-            q, _, _, _ = np.linalg.lstsq(tri.T, x, rcond=None)
-            p = tri.T @ q
-            norm = np.linalg.norm(p)
-            if norm > 1e-14 and (q >= -1e-12).all():
-                best = min(best, float(np.linalg.norm(x - p / norm)))
-                continue
-            for a, b in ((0, 1), (0, 2), (1, 2)):
-                pair = tri[[a, b]]
-                qq, _, _, _ = np.linalg.lstsq(pair.T, x, rcond=None)
-                p = pair.T @ qq
-                norm = np.linalg.norm(p)
-                if norm > 1e-14 and (qq >= -1e-12).all():
-                    best = min(best, float(np.linalg.norm(x - p / norm)))
-            best = min(best, float(np.min(np.linalg.norm(tri - x, axis=1))))
-        out[i] = best
-    return out
+    tri = V[F[np.reshape(candidates, (len(X), k))]]     # (n, k, 3, d)
+    best = np.linalg.norm(tri - X[:, None, None], axis=3).min(axis=(1, 2))
+    x = X[:, None, :, None]
+    for corners in ([0, 1, 2], [0, 1], [0, 2], [1, 2]):  # the face, its edges
+        T = tri[:, :, corners]
+        Tt, G = T.swapaxes(2, 3), T @ T.swapaxes(2, 3)
+        q = np.linalg.solve(G, T @ x)
+        # G squares T's condition number; one refinement step brings the
+        # projection back to the accuracy of a least-squares solve
+        q += np.linalg.solve(G, T @ (x - Tt @ q))
+        p = (Tt @ q)[..., 0]
+        norm = np.linalg.norm(p, axis=2)
+        counts = (q[..., 0] >= -1e-12).all(axis=2) & (norm > 1e-14)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dist = np.linalg.norm(X[:, None] - p / norm[..., None], axis=2)
+        best = np.minimum(best, np.where(counts, dist, np.inf).min(axis=1))
+    return best
 
 
 def conformality_residual(field: TubeField, flowed_vertices: np.ndarray,
@@ -661,6 +654,8 @@ def conformality_residual(field: TubeField, flowed_vertices: np.ndarray,
     mismatch e^c - 1, the control case separating particle transport from
     the pullback-metric statement.
     """
+    from .extrinsic import _area_weighted_median, max_mean_curvature
+
     mesh = field.source_mesh
     g = induced_metric(mesh)
     i, j = mesh.edges[:, 0], mesh.edges[:, 1]
@@ -669,13 +664,7 @@ def conformality_residual(field: TubeField, flowed_vertices: np.ndarray,
     expected = np.exp(0.5 * (u[i] + u[j])) * g.lengths
     rel = np.abs(d_new - expected) / expected
     A = vertex_dual_areas(mesh, g).values
-    w = A[i] + A[j]
-    order = np.argsort(rel)
-    cum = np.cumsum(w[order])
-    median = float(rel[order][np.searchsorted(cum, 0.5 * cum[-1])])
-
-    from .extrinsic import max_mean_curvature
-
+    median = _area_weighted_median(rel, A[i] + A[j])
     flowed_mesh = SurfaceMesh(mesh.dimension, flowed, mesh.faces,
                               orientable=mesh.orientable,
                               name=(mesh.name or "mesh") + "|flowed")

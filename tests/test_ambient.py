@@ -350,6 +350,86 @@ def test_ensemble_seeding_tags_and_distances():
     assert np.all(d[15:] > 2 * field.epsilon)
 
 
+def _curved_distance_reference(field, X):
+    """Per face, lstsq onto the face's span (then its edges and corners when
+    the face's cone misses), over every face with the points as columns."""
+    V, F = field.source_mesh.vertices, field.source_mesh.faces
+
+    def cone(T):
+        q = np.linalg.lstsq(T.T, X.T, rcond=None)[0]
+        p = (T.T @ q).T
+        norm = np.linalg.norm(p, axis=1)
+        ok = (norm > 1e-14) & (q >= -1e-12).all(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.linalg.norm(X - p / norm[:, None], axis=1)
+        return np.where(ok, d, np.inf)
+
+    best = np.full(len(X), np.inf)
+    for tri in V[F]:
+        face = cone(tri)
+        rest = np.min([cone(tri[[0, 1]]), cone(tri[[0, 2]]), cone(tri[[1, 2]]),
+                       *np.linalg.norm(tri[:, None] - X, axis=2)], axis=0)
+        best = np.minimum(best, np.where(np.isfinite(face), face, rest))
+    return best
+
+
+@pytest.mark.parametrize("build", [lambda: lawson_tau(3, 1, 24, 6),
+                                   lambda: clifford_torus(16)],
+                         ids=["tau31_24x6", "clifford_16"])
+def test_curved_distance_matches_the_lstsq_loop_over_all_faces(build):
+    mesh = build()
+    field = TubeField.from_flow(mesh, np.zeros(mesh.n_vertices))
+    ens = build_ensemble(field, 20, 20, 20, seed=3)
+    X = np.vstack([ens.positions, mesh.vertices])
+    d = curved_surface_distance(field, X)
+    ref = _curved_distance_reference(field, X)
+    assert np.abs(d - ref).max() < 1e-14
+    assert ref[:20].max() < 1e-12 and ref[20:60].min() > 1e-4
+
+
+def test_jacobian_table_of_a_flat_and_a_degenerate_face():
+    V = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.5, 1.0, 0.0],
+                  [0.0, 0.0, 1.0], [1.0, 0.0, 2.0], [2.0, 0.0, 3.0]])
+    cache = _FaceCache(SimpleNamespace(vertices=V,
+                                       faces=np.array([[0, 1, 2], [3, 4, 5]])))
+    J = cache.jacobian
+    assert np.all(J[:, [0, 1, 2, 4]] == 0.0)
+    # on the face, u o cp is the linear interpolant: its gradient lies in
+    # the face's plane and differences along the edges give u1 - u0, u2 - u0
+    u = np.array([0.0, 0.3, -0.7])
+    du = u[1:] - u[0]
+    g = J[0, 7] @ du
+    assert abs(g[2]) < 1e-15
+    assert np.allclose([g @ (V[1] - V[0]), g @ (V[2] - V[0])], du, atol=1e-15)
+    # on an edge, it is the interpolant along the edge: a multiple of it
+    for code, a, b in ((3, 0, 1), (5, 0, 2), (6, 1, 2)):
+        t = V[b] - V[a]
+        g = J[0, code] @ du
+        assert np.allclose(g, t * (g @ t) / (t @ t), atol=1e-15)
+        assert abs(g @ t - (u[b] - u[a])) < 1e-15
+    # a collinear face is built without raising; only its face entry is not finite
+    assert not np.isfinite(J[1, 7]).any() and np.isfinite(J[1, :7]).all()
+
+
+def test_negative_rounding_barycentric_entry_gets_a_zero_jacobian():
+    # carrier vertex 128 of tau_{3,1} 24x6 at the CLI's default dt: its
+    # stage-2 point of the first RK4 step lies on corner 1 of face 136 with
+    # barycentrics (-5.2e-17, 1, 5.2e-17); the edge-(1, 2) entry of the
+    # table would move it, the corner it sits on must not
+    mesh = lawson_tau(3, 1, 24, 6)
+    _, u = run_uniformization(mesh, tol=1e-4)
+    field = TubeField.from_flow(mesh, u.values)
+    dt = 0.5 * field.epsilon / (4.0 * _gradient_bound(field))
+    _, k1 = _field_batch(field, mesh.vertices, 0.0)
+    y = ambient._reproject(mesh.vertices + 0.5 * dt * k1)[128:129]
+    face, _, bary, _, _, _, _ = _closest_faces(field._cache, y)
+    assert face[0] == 136
+    assert -1e-16 < bary[0, 0] < 0 < bary[0, 2] < 1e-16
+    assert np.any(field._cache.jacobian[136, 6] != 0.0)
+    _, grad = _field_batch(field, y, 0.5 * dt)
+    assert np.all(grad == 0.0)
+
+
 def test_surface_particles_stay_near_curved_surface():
     _, _, field = _flow_field()
     ens = build_ensemble(field, 12, 0, 0, seed=7)
