@@ -119,6 +119,9 @@ class _FaceCache:
         self.radius = np.max([np.linalg.norm(V[F[:, k]] - centroids, axis=1)
                               for k in range(3)], axis=0)
         self.max_spread = float(self.radius.max())
+        # a curved face also sags outward from its flat face by at most
+        # 1 - |z| <= 1 - |z|^2 = sum_{i<j} b_i b_j |v_i - v_j|^2 <= diam^2 / 3
+        self.curved_spread = float(np.max(self.radius + diam * diam / 3.0))
         self.n_faces = len(F)
         # jacobian[f, code] maps (u1 - u0, u2 - u0) to the gradient of u o cp
         # when cp lies on the feature of face f whose corners are the bits of
@@ -610,22 +613,37 @@ def _reproject(X: np.ndarray) -> np.ndarray:
 
 
 def curved_surface_distance(field: TubeField, X: np.ndarray) -> np.ndarray:
-    """Distance from each point to the curved faces near it.
+    """Distance from each point to the curved surface.
 
     Faces are radially projected onto the sphere: each becomes the patch of
     the great 2-sphere spanned by its vertices with nonnegative cone
-    coefficients.  Each point is measured against the 12 faces with the
-    nearest centroids, their curved edges and their vertices; this is the
-    distance to the curved surface only when the nearest curved face is
-    among those 12, which nothing certifies.  A face or edge with vertex
-    rows T counts when its cone coefficients q = (T T^t)^-1 T x are all
-    >= -1e-12 and T^t q is nonzero; the point is then T^t q / |T^t q|.
+    coefficients.  Each point is measured against the k faces with the
+    nearest centroids (k = 12 first), their curved edges and their
+    vertices.  A point of a curved face lies within r_f + diam_f^2 / 3 of
+    the face's centroid (``_FaceCache.curved_spread`` is the largest such
+    bound), so the distance is certified once the k-th centroid distance
+    minus that bound reaches it; the other points retry with 4k faces.  A
+    face or edge with vertex rows T counts when its cone coefficients
+    q = (T T^t)^-1 T x are all >= -1e-12 and T^t q is nonzero; the point is
+    then T^t q / |T^t q|.
     """
     cache = field._cache
-    V, F = field.source_mesh.vertices, field.source_mesh.faces
-    k = min(12, cache.n_faces)
-    _, candidates = cache.tree.query(X, k=k)
-    tri = V[F[np.reshape(candidates, (len(X), k))]]     # (n, k, 3, d)
+    best = np.empty(len(X))
+    rows, k = np.arange(len(X)), 12
+    while len(rows):
+        k_eff = min(k, cache.n_faces)
+        cd, cand = cache.tree.query(X[rows], k=k_eff)
+        cd, cand = cd.reshape(len(rows), -1), cand.reshape(len(rows), -1)
+        d = _curved_distance_to(field.source_mesh, X[rows], cand)
+        done = (k_eff == cache.n_faces) | (cd[:, -1] - cache.curved_spread >= d)
+        best[rows[done]] = d[done]
+        rows, k = rows[~done], 4 * k
+    return best
+
+
+def _curved_distance_to(mesh: SurfaceMesh, X: np.ndarray, candidates: np.ndarray):
+    """Distance from each point X[i] to the curved faces ``candidates[i]``."""
+    tri = mesh.vertices[mesh.faces[candidates]]     # (n, k, 3, d)
     best = np.linalg.norm(tri - X[:, None, None], axis=3).min(axis=(1, 2))
     x = X[:, None, :, None]
     for corners in ([0, 1, 2], [0, 1], [0, 2], [1, 2]):  # the face, its edges

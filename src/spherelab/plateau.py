@@ -10,11 +10,13 @@ areas.  The preconditioner makes the full step 1 mesh-independent, so the
 number of solves stays flat under refinement where an explicit step of
 order h^2 needs 1/h^2 iterations.  A backtracking line search accepts a
 step only when the spherical area actually drops and every flat triangle
-keeps quality 4*sqrt(3)*A/sum(l^2) above ``QUALITY_FLOOR`` = 0.05.  Both
-areas come from the lengths kernel of the mesh module: the spherical area
-is its l'Huilier (``mesh._spherical_excess``) on the arcs over the face
-chords, and the flat area A its Heron (``mesh._heron``) on the chords
-themselves.  The descent either reaches ``max interior |H| < tol``, runs
+keeps quality 4*sqrt(3)*A/sum(l^2) above ``QUALITY_FLOOR`` = 0.05.  Each
+vertex array is measured once: one chord per edge of the disk's edge table,
+gathered to the faces by ``face_edge_ids``, the arcs over the chords, and
+l'Huilier (``mesh._spherical_excess``) on the arcs.  The area test sums the
+excess, the quality floor takes A from Heron (``mesh._heron``) on the
+chords, and the accepted trial's measurement serves the next gradient and
+dual areas.  The descent either reaches ``max interior |H| < tol``, runs
 out of iterations (the achieved residual is returned for the caller to
 judge), or stalls with the line search unable to shrink the area any
 further, which raises StalledDescent rather than silently accepting.
@@ -167,38 +169,23 @@ class PlateauSolution:
     area: float
 
 
-def _face_corners(V: np.ndarray, F: np.ndarray):
-    return V[F[:, 0]], V[F[:, 1]], V[F[:, 2]]
+def _measure(V: np.ndarray, edges: np.ndarray, face_edge_ids: np.ndarray) -> tuple:
+    """Face chords (F, 3), column c opposite corner c, their great-circle
+    arcs, and the spherical excess per face; one chord per edge."""
+    chords = np.linalg.norm(V[edges[:, 0]] - V[edges[:, 1]], axis=1)[face_edge_ids]
+    arcs = 2.0 * np.arcsin(np.clip(0.5 * chords, 0.0, 1.0))
+    return chords, arcs, _spherical_excess(arcs)
 
 
-def _chord_lengths(V: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Straight side lengths (F, 3); column c is the side opposite corner c."""
-    p0, p1, p2 = _face_corners(V, F)
-    return np.column_stack([np.linalg.norm(p1 - p2, axis=1),
-                            np.linalg.norm(p2 - p0, axis=1),
-                            np.linalg.norm(p0 - p1, axis=1)])
+def _triangle_quality(chords: np.ndarray) -> np.ndarray:
+    """4*sqrt(3)*A / sum(l^2) of the flat triangles with side lengths
+    ``chords``: 1 for equilateral, 0 for degenerate."""
+    per = np.einsum("ij,ij->i", chords, chords)
+    return 4.0 * np.sqrt(3.0) * _heron(chords) / np.maximum(per, 1e-300)
 
 
-def _arcs(chords: np.ndarray) -> np.ndarray:
-    """Great-circle lengths of chords of the unit sphere."""
-    return 2.0 * np.arcsin(np.clip(0.5 * chords, 0.0, 1.0))
-
-
-def _spherical_face_areas(V: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Spherical excess per face (l'Huilier) from geodesic edge lengths."""
-    return _spherical_excess(_arcs(_chord_lengths(V, F)))
-
-
-def _triangle_quality(V: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """4*sqrt(3)*A / sum(l^2) of the flat triangles: 1 for equilateral, 0 for
-    degenerate."""
-    ch = _chord_lengths(V, F)
-    per = np.einsum("ij,ij->i", ch, ch)
-    return 4.0 * np.sqrt(3.0) * _heron(ch) / np.maximum(per, 1e-300)
-
-
-def _spherical_area_gradient(V: np.ndarray, F: np.ndarray) -> tuple:
-    """Exact per-vertex gradient of total spherical area, plus face areas.
+def _spherical_area_gradient(V: np.ndarray, F: np.ndarray, measured: tuple) -> np.ndarray:
+    """Exact per-vertex gradient of total spherical area, from ``_measure(V)``.
 
     l'Huilier differentiated in closed form: with arcs a, b, c, excess E and
     s = (a+b+c)/2, the derivative in an adjacent arc is
@@ -212,13 +199,10 @@ def _spherical_area_gradient(V: np.ndarray, F: np.ndarray) -> tuple:
     not floored by the consistency error a cotan proxy would have near
     sharp polygon corners.
     """
-    p0, p1, p2 = _face_corners(V, F)
     # arc opposite each corner: a = |p1 p2|, b = |p2 p0|, c = |p0 p1|
-    ch = _chord_lengths(V, F)
+    ch, arcs, E = measured
     sin_arc = [h * np.sqrt(np.maximum(1.0 - 0.25 * h * h, 0.0)) for h in ch.T]
     cos_arc = [1.0 - 0.5 * h * h for h in ch.T]
-    arcs = _arcs(ch)
-    E = _spherical_excess(arcs)
     a, b, c = arcs.T
     s = 0.5 * (a + b + c)
     half = 0.5 * np.sin(0.5 * E)
@@ -234,17 +218,17 @@ def _spherical_area_gradient(V: np.ndarray, F: np.ndarray) -> tuple:
             np.maximum(sin_arc[arc_idx], 1e-300)[:, None]
 
     G = np.zeros_like(V)
-    corners = (p0, p1, p2)
+    corners = V[F[:, 0]], V[F[:, 1]], V[F[:, 2]]
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         # corner i: adjacent arcs are k (to corner j) and j (to corner k)
         contrib = (-dE[k][:, None] * toward(corners[i], corners[j], k)
                    - dE[j][:, None] * toward(corners[i], corners[k], j))
         np.add.at(G, F[:, i], contrib)
-    return G, E
+    return G
 
 
-def _descent_state(V: np.ndarray, F: np.ndarray, free: np.ndarray,
+def _descent_state(V: np.ndarray, F: np.ndarray, measured: tuple, free: np.ndarray,
                    tail: np.ndarray, head: np.ndarray) -> tuple:
     """Mean-curvature direction H and the barycentric dual areas.
 
@@ -259,7 +243,7 @@ def _descent_state(V: np.ndarray, F: np.ndarray, free: np.ndarray,
     right-hand side of the preconditioned step, and max |H| the
     termination residual.
     """
-    G, E = _spherical_area_gradient(V, F)
+    G = _spherical_area_gradient(V, F, measured)
     t = V[head] - np.einsum("ij,ij->i", V[head], V[tail])[:, None] * V[tail]
     t /= np.maximum(np.linalg.norm(t, axis=1), 1e-300)[:, None]
     amb = V.shape[1]
@@ -267,7 +251,7 @@ def _descent_state(V: np.ndarray, F: np.ndarray, free: np.ndarray,
     np.add.at(C, tail, t[:, :, None] * t[:, None, :])
     _, Q = np.linalg.eigh(C)
     dual = np.zeros(len(V))
-    np.add.at(dual, F.ravel(), np.repeat(E / 3.0, 3))
+    np.add.at(dual, F.ravel(), np.repeat(measured[2] / 3.0, 3))
     dual = np.maximum(dual, 1e-300)
 
     Gn = G.copy()
@@ -303,35 +287,37 @@ def solve_plateau(problem: PlateauProblem, tol: float = 1e-2,
     if not free.any():
         raise ValueError("the disk has no interior vertices to move")
 
-    area = float(np.sum(_spherical_face_areas(V, F)))
+    ends, fe = disk.edges, disk.face_edge_ids
+    measured = _measure(V, ends, fe)
+    area = float(np.sum(measured[2]))
     eta = 1.0
     residual = float("inf")
-    ends = disk.edges
     tail = np.concatenate([ends[:, 0], ends[:, 1]])
     head = np.concatenate([ends[:, 1], ends[:, 0]])
 
     for it in range(max_iter):
-        H, dual = _descent_state(V, F, free, tail, head)
+        H, dual = _descent_state(V, F, measured, free, tail, head)
         residual = float(np.max(np.linalg.norm(H, axis=1)))
         if residual < tol:
             return PlateauSolution(disk.with_vertices(V), residual, it, area)
         metric = DiscreteMetric(ends, geodesic_distances(V[ends[:, 0]], V[ends[:, 1]]),
-                                SPHERICAL, disk.face_edge_ids, disk.n_vertices)
+                                SPHERICAL, fe, disk.n_vertices)
         L = cotan_laplacian(disk, metric)[free][:, free]
         D = splu(L.tocsc()).solve(H[free] * dual[free, None])
         while True:
             Vt = V.copy()
             moved = V[free] + eta * D
             Vt[free] = moved / np.linalg.norm(moved, axis=1)[:, None]
-            trial = float(np.sum(_spherical_face_areas(Vt, F)))
-            if trial < area and float(np.min(_triangle_quality(Vt, F))) > QUALITY_FLOOR:
+            measured_t = _measure(Vt, ends, fe)
+            trial = float(np.sum(measured_t[2]))
+            if trial < area and float(np.min(_triangle_quality(measured_t[0]))) > QUALITY_FLOOR:
                 break
             eta *= 0.5
             if eta < 1e-14:
                 raise StalledDescent(
                     f"line search stalled at residual {residual:.3e} (tol {tol:.3e})",
                     residual=residual, iterations=it, mesh=disk.with_vertices(V))
-        V, area = Vt, trial
+        V, area, measured = Vt, trial, measured_t
         eta = min(1.3 * eta, 1.0)
 
     return PlateauSolution(disk.with_vertices(V), residual, max_iter, area)

@@ -47,7 +47,6 @@ from .mesh import (
 )
 
 __all__ = [
-    "ParametricPatch",
     "icosphere",
     "great_sphere",
     "geodesic_sphere",
@@ -60,34 +59,6 @@ __all__ = [
     "weld_vertices",
     "reduce_to_linear_span",
 ]
-
-
-# ---------------------------------------------------------------------------
-# parametric patches
-
-
-@dataclass(frozen=True)
-class ParametricPatch:
-    """A doubly periodic (or bounded) smooth map into a unit sphere.
-
-    ``mapping`` sends (x, y) arrays to an (n, d+1) array of unit vectors;
-    ``periods`` is the (x, y) period pair.  ``validate`` samples a 64 x 64
-    grid of one period and returns the worst deviation from unit norm.
-    """
-
-    mapping: object
-    periods: tuple
-
-    def validate(self):
-        px, py = self.periods
-        x = np.linspace(0.0, px, 64, endpoint=False)
-        y = np.linspace(0.0, py, 64, endpoint=False)
-        xx, yy = np.meshgrid(x, y, indexing="ij")
-        P = self.mapping(xx.ravel(), yy.ravel())
-        worst = float(np.max(np.abs(np.linalg.norm(P, axis=1) - 1.0)))
-        if worst > 1e-12:
-            raise ValueError(f"patch leaves the unit sphere by {worst:.3e}")
-        return worst
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +185,6 @@ def _lawson_nu(m, k, x, y):
         -k * np.sin(m * x) * np.sin(y), k * np.cos(m * x) * np.sin(y),
         m * np.sin(k * x) * np.cos(y), -m * np.cos(k * x) * np.cos(y),
     ]) / root[:, None]
-
-
-def lawson_patch(m: int, k: int) -> ParametricPatch:
-    """The tau_{m,k} immersion as a validated parametric patch."""
-    _check_lawson_pair(m, k)
-    y_period = np.pi if (m % 2 and k % 2) else 2 * np.pi
-
-    def mapping(x, y):
-        return _lawson_psi(m, k, np.asarray(x, float), np.asarray(y, float))
-
-    return ParametricPatch(mapping, (2 * np.pi, y_period))
 
 
 def _bipolar_adapted_ys(ntheta: int) -> np.ndarray:

@@ -6,7 +6,8 @@ import pytest
 
 from spherelab.errors import AntipodalPair, StalledDescent, WrongEuler
 from spherelab.extrinsic import max_mean_curvature
-from spherelab.mesh import SurfaceMesh, euler_characteristic, induced_metric, total_area
+from spherelab.mesh import (SurfaceMesh, euler_characteristic, face_areas, induced_metric,
+                            total_area)
 from spherelab.plateau import (
     PlateauProblem,
     PlateauSolution,
@@ -18,7 +19,8 @@ from spherelab.plateau import (
     quadrilateral_disk,
     solve_plateau,
 )
-from spherelab.plateau import _spherical_area_gradient, _spherical_face_areas, _triangle_quality
+from spherelab import plateau
+from spherelab.plateau import _measure, _spherical_area_gradient, _triangle_quality
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -183,8 +185,10 @@ def test_area_gradient_matches_finite_differences():
     corners, _ = lawson_xi_quadrilateral(2)
     disk = quadrilateral_disk(corners, 6)
     V, F = disk.vertices, disk.faces
-    G, E = _spherical_area_gradient(V, F)
-    assert np.allclose(E, _spherical_face_areas(V, F), atol=1e-15)
+    measured = _measure(V, disk.edges, disk.face_edge_ids)
+    G = _spherical_area_gradient(V, F, measured)
+    # the edge-table excess is the mesh module's spherical face area
+    assert np.allclose(measured[2], face_areas(induced_metric(disk)), atol=1e-15)
     # rows are tangent to the sphere
     assert np.max(np.abs(np.einsum("ij,ij->i", G, V))) < 1e-12
     rng = np.random.default_rng(11)
@@ -199,7 +203,7 @@ def test_area_gradient_matches_finite_differences():
             W = V.copy()
             p = V[i] + eps * d
             W[i] = p / np.linalg.norm(p)
-            return float(np.sum(_spherical_face_areas(W, F)))
+            return float(np.sum(_measure(W, disk.edges, disk.face_edge_ids)[2]))
 
         fd = (area_at(h) - area_at(-h)) / (2 * h)
         assert abs(fd - float(G[i] @ d)) < 1e-8
@@ -208,7 +212,8 @@ def test_area_gradient_matches_finite_differences():
 def test_spherical_areas_tile_the_hemisphere_exactly():
     cap = _polar_cap()
     # spherical excess is additive, so the cap areas sum to 2 pi to rounding
-    assert abs(float(np.sum(_spherical_face_areas(cap.vertices, cap.faces))) - 2 * np.pi) < 1e-12
+    E = _measure(cap.vertices, cap.edges, cap.face_edge_ids)[2]
+    assert abs(float(np.sum(E)) - 2 * np.pi) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +238,33 @@ def test_hemisphere_is_already_minimal_and_closes_to_a_sphere():
 
 def test_solver_converges_below_tol_and_decreases_area():
     prob, corners, gens = _xi_problem(2, 8)
-    a0 = float(np.sum(_spherical_face_areas(prob.interior_init.vertices,
-                                            prob.interior_init.faces)))
+    disk = prob.interior_init
+    a0 = float(np.sum(_measure(disk.vertices, disk.edges, disk.face_edge_ids)[2]))
     sol = solve_plateau(prob, tol=1e-3, max_iter=20000)
     assert isinstance(sol, PlateauSolution)
     assert sol.residual < 1e-3
     assert 0 < sol.iterations < 20000
     assert sol.area < a0
-    assert float(np.min(_triangle_quality(sol.mesh.vertices, sol.mesh.faces))) > 0.05
+    chords = _measure(sol.mesh.vertices, disk.edges, disk.face_edge_ids)[0]
+    assert float(np.min(_triangle_quality(chords))) > 0.05
     # pinned rows never move, bit for bit
     bm = prob.interior_init.boundary_vertex_mask
     assert np.array_equal(sol.mesh.vertices[bm], prob.interior_init.vertices[bm])
+
+
+def test_no_iterate_is_measured_twice(monkeypatch):
+    prob, *_ = _xi_problem(2, 8)
+    measure, seen = plateau._measure, []
+
+    def counted(V, edges, face_edge_ids):
+        seen.append(V.tobytes())
+        return measure(V, edges, face_edge_ids)
+
+    monkeypatch.setattr(plateau, "_measure", counted)
+    sol = solve_plateau(prob, tol=1e-3, max_iter=20000)
+    # the start, then one measurement per line-search trial
+    assert sol.iterations > 0 and len(seen) > sol.iterations
+    assert len(set(seen)) == len(seen)
 
 
 def test_solve_count_stays_flat_under_refinement():

@@ -22,13 +22,13 @@ from spherelab.zoo import (
     geodesic_sphere,
     great_sphere,
     icosphere,
-    lawson_patch,
     lawson_tau,
     lawson_tau_area,
     reduce_to_linear_span,
     veronese_rp2,
     weld_vertices,
 )
+from spherelab.zoo import _lawson_psi
 
 CLIFFORD_AREA = 2 * np.pi ** 2
 TAU31_AREA = 12 * np.pi * scipy.special.ellipe(8 / 9)  # 12 pi E(2 sqrt2/3)
@@ -130,9 +130,15 @@ def test_quad_grids_match_the_nested_loop():
         assert np.array_equal(mesh.faces, ref)
 
 
-def test_lawson_patch_stays_on_sphere():
-    for pair in [(1, 1), (3, 1), (2, 1), (5, 3)]:
-        assert lawson_patch(*pair).validate() < 1e-12
+def test_lawson_psi_stays_on_sphere():
+    # lawson_tau normalizes the rows, which would hide a psi off the sphere
+    for m, k in [(1, 1), (3, 1), (2, 1), (5, 3)]:
+        y_period = np.pi if (m % 2 and k % 2) else 2 * np.pi
+        x = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+        y = np.linspace(0.0, y_period, 64, endpoint=False)
+        xx, yy = np.meshgrid(x, y, indexing="ij")
+        P = _lawson_psi(m, k, xx.ravel(), yy.ravel())
+        assert np.max(np.abs(np.linalg.norm(P, axis=1) - 1.0)) < 1e-12
 
 
 def test_lawson_pair_validation():

@@ -66,8 +66,13 @@ run_code ambient_infinite_t_end ambient --mesh tau24.mesh.json --t-end inf \
     --out-dir ambient_infinite_t_end
 run_code flow_nan_tol flow --mesh clifford.mesh.json --tol nan --max-steps 5 \
     -o clifford_nan_tol.trace.csv
+# variants of configs/xi21.json: a five-iteration budget, and the Plateau
+# path on a finer initial disk
 python -c 'import json, sys
 cfg = json.load(open(sys.argv[1]))
-cfg["max_iter"] = 5
-open("xi21_short.json", "w").write(json.dumps(cfg, indent=2))' "$REPO/configs/xi21.json"
+open("xi21_short.json", "w").write(json.dumps(dict(cfg, max_iter=5), indent=2))
+open("xi21_r24.json", "w").write(json.dumps(dict(cfg, resolution=24), indent=2))' \
+    "$REPO/configs/xi21.json"
 run_code build_xi_short build xi --config xi21_short.json -o xi21_short.mesh.json
+run build_xi21_r24 build xi --config xi21_r24.json -o xi21_r24.mesh.json
+run measure_xi21_r24 measure --mesh xi21_r24.mesh.json -o xi21_r24.measure.csv
