@@ -42,13 +42,15 @@ runner-up at x, nor within 1e-9 of the best, so the ambiguity guard still
 sees every near tie.  Exactly tied faces are taken in face order, which
 makes reused and fresh candidate sets give bit-identical answers.
 
-So each point's closest faces are a pure function of the point, and the
-integrator also keeps, per RK4 stage, each particle's last stage point and
-its closest faces.  A stage point equal to that point bit for bit (-0.0 and
-+0.0 differ) takes the kept answer with no tree query and no triangle test,
-so the flow stays bit-exact.  This spares particles whose velocity is zero:
-outside particles, and carrier vertices at distance 0 from the surface.  u
-and the gradient are still evaluated at every stage.
+So each point's closest faces are a pure function of the point.  Two kinds
+of particle have zero velocity at every t by construction: those at distance
+2 epsilon or more (the cutoff is 0), and those within epsilon whose closest
+point is a mesh corner (cp is constant, the cutoff's slope is 0) and ties
+with no face of another sheet (the ambiguity guard reads u(t) there).  After
+the first RK4 step the integrator certifies both stage points of each row
+that did not move, x and its re-projection, and drops certified rows from
+every later batch: their stage velocities would all be 0, so the flow stays
+bit-exact.  An observed zero is no certificate: at t = 0 the flow's u is 0.
 
 u is interpolated linearly in time between schedule samples; that choice
 is a convention, not a claim.
@@ -158,14 +160,9 @@ class _CandidateRecord:
         self.reach = np.zeros(n)
         self.slack = np.full(n, -np.inf)
 
-
-class _StageMemo:
-    """The last query point of each row, by its bits, and the seven outputs
-    of ``_closest_faces`` there (``None`` before the first batch)."""
-
-    def __init__(self):
-        self.bits = None
-        self.out = None
+    def keep(self, rows: np.ndarray):
+        for name in ("anchor", "faces", "lower", "reach", "slack"):
+            setattr(self, name, getattr(self, name)[rows])
 
 
 def _closest_on_triangles(P, A, AB, AC):
@@ -228,34 +225,23 @@ def _closest_on_triangles(P, A, AB, AC):
 
 
 def _closest_faces(cache: _FaceCache, X: np.ndarray,
-                   _record: _CandidateRecord | None = None,
-                   _memo: _StageMemo | None = None):
+                   _record: _CandidateRecord | None = None):
     """Exact closest face per query point, and the runner-up among candidates.
 
     Returns (face, closest point, barycentric, distance, runner-up distance,
-    runner-up barycentric, runner-up face).  The centroid tree proposes k = 32
-    candidates; a point is certified when its k-th centroid distance exceeds
-    its best distance plus ``max_spread``, and retries with 4k otherwise.
-    With ``_record``, a point with |x - x0| + margin < delta reuses its
-    row's candidates less those with |x0 - c_f| - r_f beyond the reach plus
-    2 (|x - x0| + margin), and every new certificate refreshes its row.
-    With ``_memo``, a row whose point has the same bits as the memo's takes
-    the memo's outputs and joins no round; this is bit-exact because each
-    row's outputs are a pure function of its own point.  The memo then
-    holds X and the outputs returned.
+    runner-up barycentric, runner-up face).  Candidates come from the
+    centroid tree (k = 32, then 4k until certified) or, with ``_record``,
+    from the row's last certificate (module docstring), and every new
+    certificate refreshes its row.
     """
     n = len(X)
     rec = _CandidateRecord(*X.shape) if _record is None else _record
-    if _memo is not None and _memo.bits is not None:
-        out = tuple(a.copy() for a in _memo.out)
-        rows = np.flatnonzero(~(X.view(np.int64) == _memo.bits).all(axis=1))
-    else:
-        out = (np.empty(n, dtype=np.int64), np.empty((n, X.shape[1])),
-               np.empty((n, 3)), np.empty(n), np.empty(n), np.empty((n, 3)),
-               np.empty(n, dtype=np.int64))
-        rows = np.arange(n)
+    out = (np.empty(n, dtype=np.int64), np.empty((n, X.shape[1])),
+           np.empty((n, 3)), np.empty(n), np.empty(n), np.empty((n, 3)),
+           np.empty(n, dtype=np.int64))
     (out_face, out_cp, out_bary, out_dist, out_dist2, out_bary2,
      out_face2) = out
+    rows = np.arange(n)
     drift = np.linalg.norm(X - rec.anchor, axis=1) + _REUSE_MARGIN
     k = 32
     while len(rows):
@@ -325,9 +311,6 @@ def _closest_faces(cache: _FaceCache, X: np.ndarray,
         out_face2[sel] = cand[lsel, s2]
         rows = rows[~certified]
         k *= 4
-    if _memo is not None:
-        _memo.bits = X.view(np.int64).copy()
-        _memo.out = tuple(a.copy() for a in out)
     return out
 
 
@@ -391,43 +374,44 @@ class TubeField:
         return (1 - w) * u0 + w * u1
 
 
+def _feature_code(bary: np.ndarray) -> np.ndarray:
+    """Corner bits 1, 2, 4 of each closest feature; 0 if an entry is negative."""
+    return np.where((bary >= 0).all(axis=1), (bary > 0) @ np.array([1, 2, 4]), 0)
+
+
+def _sheet_ties(cache: _FaceCache, face, dist, dist2, face2) -> np.ndarray:
+    """Rows whose runner-up ties with the best face and shares none of its
+    vertices: two sheets touch (adjacent faces tie where cp changes feature)."""
+    tie = np.flatnonzero(dist2 - dist < _AMBIGUITY_DIST)
+    fa, fb = cache.faces[face[tie]], cache.faces[face2[tie]]
+    return tie[~(fa[:, :, None] == fb[:, None, :]).any(axis=(1, 2))]
+
+
 def _field_batch(field: TubeField, X: np.ndarray, t: float,
-                 _record: _CandidateRecord | None = None,
-                 _memo: _StageMemo | None = None):
+                 _record: _CandidateRecord | None = None):
     """(values, ambient gradients) of the tube field at a batch of points.
 
     The gradient is the exact derivative of the implemented value: the
     closest-point map contributes the face (or edge) Jacobian, the cutoff
     contributes its radial term, and the result is projected tangent to the
     sphere at each query point.  Points at distance 2 epsilon or more get
-    exact zeros.  ``_record`` and ``_memo`` are passed on to
-    ``_closest_faces``.
+    exact zeros; so do the gradients of the other rows ``_never_moves``
+    certifies.  ``_record`` is passed on to ``_closest_faces``.
     """
-    cache = field._cache
-    eps = field.epsilon
-    n = len(X)
-    values = np.zeros(n)
-    grads = np.zeros_like(X)
-
-    nearest = _closest_faces(cache, X, _record=_record, _memo=_memo)
+    cache, eps = field._cache, field.epsilon
+    values, grads = np.zeros(len(X)), np.zeros_like(X)
+    nearest = _closest_faces(cache, X, _record=_record)
     live = nearest[3] < 2.0 * eps
-    if not np.any(live):
-        return values, grads
     Xl = X[live]
     fi, cp, bary, dist, dist2, bary2, fi2 = (a[live] for a in nearest)
 
     u = field.u_at(t)
-    tie = np.flatnonzero(dist2 - dist < _AMBIGUITY_DIST)
+    tie = _sheet_ties(cache, fi, dist, dist2, fi2)
     if len(tie):
-        # Ties between faces sharing a vertex are the continuous edge /
-        # vertex crossings of the closest-point map, not an ambiguity.
-        # The guard is for distinct sheets (medial-axis contact) where the
-        # extension would be genuinely multi-valued.
         fa, fb = cache.faces[fi[tie]], cache.faces[fi2[tie]]
-        apart = ~(fa[:, :, None] == fb[:, None, :]).any(axis=(1, 2))
         gap = np.abs(np.sum(bary[tie] * u[fa], axis=1)
                      - np.sum(bary2[tie] * u[fb], axis=1))
-        gap = gap[apart & (gap > _AMBIGUITY_U)]
+        gap = gap[gap > _AMBIGUITY_U]
         if len(gap):
             raise ClosestPointAmbiguous(
                 f"two non-adjacent faces within {_AMBIGUITY_DIST} of a "
@@ -440,10 +424,8 @@ def _field_batch(field: TubeField, X: np.ndarray, t: float,
     B, dB = _bump(dist, eps)
     vals = u_cp * B
 
-    # Jacobian of u o cp from the closest feature's code; a row with a
-    # negative (rounding) barycentric entry takes code 0, a zero Jacobian
-    code = np.where((bary >= 0).all(axis=1), (bary > 0) @ np.array([1, 2, 4]), 0)
-    g = np.einsum("nij,nj->ni", cache.jacobian[fi, code],
+    # Jacobian of u o cp from the closest feature's code
+    g = np.einsum("nij,nj->ni", cache.jacobian[fi, _feature_code(bary)],
                   np.column_stack([u1 - u0, u2 - u0]))
 
     radial = np.zeros_like(Xl)
@@ -457,6 +439,16 @@ def _field_batch(field: TubeField, X: np.ndarray, t: float,
     values[live] = vals
     grads[live] = total
     return values, grads
+
+
+def _never_moves(field: TubeField, X: np.ndarray, rec: _CandidateRecord):
+    """Rows of X where the gradient is zero at every t: at distance 2 epsilon
+    or more, or within epsilon on a corner code and with no ``_sheet_ties``."""
+    cache, eps = field._cache, field.epsilon
+    face, _, bary, dist, dist2, _, face2 = _closest_faces(cache, X, rec)
+    still = (dist <= eps) & np.isin(_feature_code(bary), (0, 1, 2, 4))
+    still[_sheet_ties(cache, face, dist, dist2, face2)] = False
+    return still | (dist >= 2.0 * eps)
 
 
 def evaluate_tube_field(field: TubeField, x: AmbientPoint, t: float):
@@ -562,7 +554,9 @@ def integrate_palais_flow(field: TubeField, ensemble: ParticleEnsemble,
     """Advect the ensemble by RK4 along the tube-field gradient.
 
     Stages re-project to the sphere; a particle whose four stage velocities
-    all vanish is left bit-identical (the field's support guarantee).
+    all vanish is left bit-identical (the field's support guarantee).  After
+    the first step, the rows that ``_never_moves`` certifies at both stage
+    points of a resting row leave every later batch (module docstring).
     Raises ValueError unless dt > 0 and t_end >= 0 are finite, and
     StepTooLarge unless dt <= epsilon / (4 max|grad|), so no particle can
     cross the tube shell in a single step.
@@ -582,25 +576,29 @@ def integrate_palais_flow(field: TubeField, ensemble: ParticleEnsemble,
     X = ensemble.positions.copy()
     log = list(ensemble.log)
     steps = int(np.ceil(t_end / dt - 1e-12))
-    # closest-face certificates carried across stages and steps, and per
-    # stage the closest faces of each row's last stage point
+    # the rows that may still move, and their closest-face certificates
+    # carried across stages and steps
+    live = np.arange(len(X))
     rec = _CandidateRecord(*X.shape)
-    m1, m2, m3, m4 = (_StageMemo() for _ in range(4))
     t = 0.0
-    for _ in range(steps):
+    for step in range(steps):
         h = min(dt, t_end - t)
-        _, k1 = _field_batch(field, X, t, rec, m1)
-        _, k2 = _field_batch(field, _reproject(X + 0.5 * h * k1), t + 0.5 * h,
-                             rec, m2)
-        _, k3 = _field_batch(field, _reproject(X + 0.5 * h * k2), t + 0.5 * h,
-                             rec, m3)
-        _, k4 = _field_batch(field, _reproject(X + h * k3), t + h, rec, m4)
-        moved = (np.abs(k1).max(axis=1) + np.abs(k2).max(axis=1)
-                 + np.abs(k3).max(axis=1) + np.abs(k4).max(axis=1)) > 0.0
-        Xn = X[moved] + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)[moved]
-        X[moved] = _reproject(Xn)
+        Y = X[live]
+        _, k1 = _field_batch(field, Y, t, rec)
+        _, k2 = _field_batch(field, _reproject(Y + 0.5 * h * k1), t + 0.5 * h, rec)
+        _, k3 = _field_batch(field, _reproject(Y + 0.5 * h * k2), t + 0.5 * h, rec)
+        _, k4 = _field_batch(field, _reproject(Y + h * k3), t + h, rec)
+        moved = np.abs(np.hstack([k1, k2, k3, k4])).max(axis=1) > 0.0
+        Yn = Y[moved] + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)[moved]
+        X[live[moved]] = _reproject(Yn)
         t += h
         log.append((t, X.copy()))
+        if step == 0:
+            # x and its re-projection are the only stage points of a row at rest
+            stay = moved | ~(_never_moves(field, X, rec)
+                             & _never_moves(field, _reproject(X), rec))
+            live = live[stay]
+            rec.keep(stay)
     return ParticleEnsemble(X, list(ensemble.tags), log)
 
 

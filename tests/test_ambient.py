@@ -294,6 +294,85 @@ def test_stage_memo_tests_only_the_carrier_vertices_that_move(monkeypatch):
     assert max(later, default=0) <= moved
 
 
+def test_rows_certified_at_rest_leave_every_later_batch(monkeypatch):
+    # At t = 0 the flow's u is 0, so every k1 of the first step is zero: a
+    # rule that froze rows on an observed zero velocity would freeze all
+    # 60 + 144 = 204 rows.  The certificate leaves 40 ensemble rows (the 20
+    # outside rows freeze) and 1 carrier row in every batch after step 1.
+    mesh = lawson_tau(3, 1, 24, 6)
+    _, u = run_uniformization(mesh, tol=1e-4)
+    field = TubeField.from_flow(mesh, u.values)
+    dt = 0.5 * field.epsilon / (4.0 * _gradient_bound(field))
+    ens = build_ensemble(field, seed=7)
+    carrier = ParticleEnsemble(mesh.vertices.copy(),
+                               ["vertex"] * mesh.n_vertices, [])
+    sizes = []
+
+    def field_batch(*args):
+        sizes.append(len(args[1]))
+        return _field_batch(*args)
+
+    for start, n_live in ((ens, 40), (carrier, 1)):
+        expected = _reference_rk4(field, start.positions, 40 * dt, dt)
+        monkeypatch.setattr(ambient, "_field_batch", field_batch)
+        sizes.clear()
+        out = integrate_palais_flow(field, start, 40 * dt, dt)
+        monkeypatch.setattr(ambient, "_field_batch", _field_batch)
+        n = len(start.positions)
+        assert sizes == [n] * 4 + [n_live] * (4 * 39)
+        assert np.array_equal(out.positions, expected)
+        assert np.any(out.positions != start.positions)
+
+
+def test_freezing_hides_no_closest_point_ambiguity():
+    # The ambiguity guard of _field_batch reads only rows inside 2 epsilon,
+    # and it reads u(t) there, so a row on which it could raise must stay
+    # in the batch.  A corner row's ties are its adjacent faces, which share
+    # its vertex, unless two sheets touch.  Uniform tau_{3,1} 24x6 has 24
+    # coincident vertex pairs, and carrier row 54 ties with a face of
+    # another sheet.
+    mesh = lawson_tau(3, 1, 24, 6)
+    assert len(cKDTree(mesh.vertices).query_pairs(1e-12)) == 24
+    _, u = run_uniformization(mesh, tol=1e-4)
+    field = TubeField.from_flow(mesh, u.values)
+    cache = field._cache
+    for X in (mesh.vertices, ambient._reproject(mesh.vertices)):
+        face, _, _, dist, dist2, _, face2 = _closest_faces(cache, X)
+        fa, fb = mesh.faces[face], mesh.faces[face2]
+        apart = ~(fa[:, :, None] == fb[:, None, :]).any(axis=(1, 2))
+        sheet_tie = np.flatnonzero(apart & (dist2 - dist < 1e-9)
+                                   & (dist < 2 * field.epsilon))
+        assert 54 in sheet_tie
+        certified = ambient._never_moves(field, X, _CandidateRecord(*X.shape))
+        assert not certified[sheet_tie].any()
+
+    # two sheets whose corners 0 and 3 coincide: u is 0 through the first
+    # step and then splits them, so the guard raises in the second step on
+    # a particle that never moves
+    e = np.eye(4)
+    s = 0.3
+    V = np.array([e[0], np.cos(s) * e[0] + np.sin(s) * e[1],
+                  np.cos(s) * e[0] + np.sin(s) * e[2],
+                  e[0], np.cos(s) * e[0] + np.sin(s) * e[3],
+                  np.cos(s) * e[0] - np.sin(s) * e[1]])
+    sheets = SurfaceMesh(3, V, np.array([[0, 1, 2], [3, 4, 5]]),
+                         boundary_loops=[[0, 1, 2], [3, 4, 5]],
+                         name="two sheets meeting at a corner")
+    h = 5e-4
+    u1 = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    field = TubeField(sheets, ((0.0, 0 * u1), (1.5 * h, 0 * u1), (1.0, u1)),
+                      epsilon=0.1)
+    assert h <= field.epsilon / (4.0 * _gradient_bound(field))
+    rec = _CandidateRecord(2, 4)
+    assert list(ambient._never_moves(field, V[[0, 1]], rec)) == [False, True]
+    lone = ParticleEnsemble(V[[1]], ["corner"], [])
+    assert np.array_equal(integrate_palais_flow(field, lone, 3 * h, h).positions,
+                          V[[1]])
+    touching = ParticleEnsemble(V[[0]], ["corner"], [])
+    with pytest.raises(ClosestPointAmbiguous):
+        integrate_palais_flow(field, touching, 3 * h, h)
+
+
 def test_coincident_vertices_of_uniform_tau_evaluate():
     # uniform tau_{3,1} covers one great circle three times: 24 vertex pairs
     # coincide, so faces of another sheet lie at distance 0 from a vertex

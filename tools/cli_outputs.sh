@@ -53,6 +53,9 @@ run measure_tau24 measure --mesh tau24.mesh.json -o tau24.measure.csv
 run flow_tau31 flow --mesh tau31.mesh.json -o tau31.trace.csv
 run flow_veronese flow --mesh veronese.mesh.json -o veronese.trace.csv
 run ambient_tau24 ambient --mesh tau24.mesh.json --t-end 0.1 --out-dir ambient
+# the benchmark's horizon on a seed whose surface particles leave the surface
+run ambient_tau24_seed5 ambient --mesh tau24.mesh.json --t-end 0.25 --seed 5 \
+    --out-dir ambient_seed5
 run_code flow_budget flow --mesh tau31.mesh.json --tol 1e-12 --max-steps 5 \
     -o tau31_budget.trace.csv
 run_code bipolar_tau31 build bipolar --nu 32 --nv 10 -o bipolar.mesh.json
