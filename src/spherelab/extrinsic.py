@@ -47,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import mesh as mesh_mod
 from .errors import (
     DimensionMismatch,
     IllConditionedFit,
@@ -58,7 +57,6 @@ from .mesh import (
     SurfaceMesh,
     VertexField,
     angle_defect_curvature,
-    face_angles,
     induced_metric,
     vertex_dual_areas,
 )
@@ -86,18 +84,19 @@ _FACE_BLOCK = 4096
 def cotan_laplacian(mesh: SurfaceMesh, metric: DiscreteMetric | None = None) -> sp.csr_matrix:
     """Positive semi-definite cotan matrix of the intrinsic metric.
 
-    Angles are taken from the flat layout of the geodesic edge lengths (the
-    intrinsic simplicial metric), which is the standard discretisation of
-    the Laplace-Beltrami operator.  Note the sign: this matrix approximates
-    ``-A_i * Delta``.
+    The weights are the ``half_cotangents`` of the flat layout of the
+    metric's lengths (``metric.as_euclidean()``, the intrinsic simplicial
+    metric; ``metric`` defaults to the induced one), which is the standard
+    discretisation of the Laplace-Beltrami operator.  A Euclidean metric is
+    read as it is, so its cached record serves every other reader too.  Note
+    the sign: this matrix approximates ``-A_i * Delta``.
     """
     if metric is None:
         metric = induced_metric(mesh)
-    ang = face_angles(metric.as_euclidean())
-    half_cot = 0.5 * np.cos(ang) / np.sin(ang)
     # the cotangent at corner c weights the edge opposite c
-    edge_w = np.zeros(mesh.n_edges)
-    np.add.at(edge_w, mesh.face_edge_ids.ravel(), half_cot.ravel())
+    edge_w = np.bincount(mesh.face_edge_ids.ravel(),
+                         metric.as_euclidean().half_cotangents.ravel(),
+                         minlength=mesh.n_edges)
     i, j = mesh.edges[:, 0], mesh.edges[:, 1]
     V = mesh.n_vertices
     rows = np.concatenate([i, j, i, j])
@@ -115,19 +114,16 @@ def _mixed_voronoi_areas(mesh: SurfaceMesh, metric: DiscreteMetric) -> np.ndarra
     other quadratures in the package stay barycentric.
     """
     em = metric.as_euclidean()
-    ang = face_angles(em)
-    L = em.face_corner_lengths
-    A = mesh_mod.face_areas(em)
-    cot = np.cos(ang) / np.sin(ang)
-    obtuse = ang > np.pi / 2
-    any_obtuse = obtuse.any(axis=1)
-    out = np.zeros(mesh.n_vertices)
-    for c in range(3):
-        a, b = (c + 1) % 3, (c + 2) % 3
-        voronoi = (L[:, a] ** 2 * cot[:, a] + L[:, b] ** 2 * cot[:, b]) / 8.0
-        mixed = np.where(any_obtuse, np.where(obtuse[:, c], A / 2, A / 4), voronoi)
-        np.add.at(out, mesh.faces[:, c], mixed)
-    return out
+    # doubling a half-cotangent is exact: these are the bits of cos / sin
+    lc = em.face_corner_lengths ** 2 * (2.0 * em.half_cotangents)
+    # corner c's share of the circumcentric cell uses its two other corners
+    voronoi = (np.roll(lc, -1, axis=1) + np.roll(lc, -2, axis=1)) / 8.0
+    obtuse = em.angles > np.pi / 2
+    A = em.areas[:, None]
+    mixed = np.where(obtuse.any(axis=1, keepdims=True),
+                     np.where(obtuse, A / 2, A / 4), voronoi)
+    # corner-major order fixes the rounding of each vertex's sum, so the bits of H
+    return np.bincount(mesh.faces.T.ravel(), mixed.T.ravel(), minlength=mesh.n_vertices)
 
 
 def mean_curvature_vector(mesh: SurfaceMesh) -> np.ndarray:
@@ -135,13 +131,14 @@ def mean_curvature_vector(mesh: SurfaceMesh) -> np.ndarray:
 
     ``H_i`` is the sphere-tangent part of ``-(L x)_i / A_i`` (equivalently
     of ``-(L x)_i / A_i + 2 x_i``, whose radial part the projection kills),
-    with L and A_i (the circumcentric dual area) from the induced metric.
-    Rows are tangent to the sphere at the corresponding vertex.  Closed
-    meshes only; the formula has no boundary correction.
+    with L and A_i (the circumcentric dual area) from the flat layout of the
+    induced metric, built once so both read one per-face record.  Rows are
+    tangent to the sphere at the corresponding vertex.  Closed meshes only;
+    the formula has no boundary correction.
     """
     if not mesh.is_closed:
         raise ValueError("mean curvature vectors are only defined for closed meshes")
-    metric = induced_metric(mesh)
+    metric = induced_metric(mesh).as_euclidean()
     L = cotan_laplacian(mesh, metric)
     A = _mixed_voronoi_areas(mesh, metric)
     from .sphere import tangent_project_rows

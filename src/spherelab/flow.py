@@ -20,7 +20,8 @@ for extreme conformal factors.
 
 Cost model: one curvature evaluation per attempted step.  A FlowState
 carries the curvature s_i and dual areas A_i of its metric; a step evaluates
-only its candidate, which the Lyapunov test and the trace then read.
+only its candidate, which the Lyapunov test and the trace then read.  The
+area renormalisation builds two or three scaled metrics per attempt.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .mesh import (
     EUCLIDEAN,
     SurfaceMesh,
     VertexField,
+    angle_defect_curvature,
     euler_characteristic,
-    face_areas,
     induced_metric,
     vertex_dual_areas,
 )
@@ -97,18 +98,11 @@ def conformal_lengths(base: DiscreteMetric, u: VertexField) -> DiscreteMetric:
                           base.face_edge_ids, base.n_vertices)
 
 
-def _curvature(mesh: SurfaceMesh, metric: DiscreteMetric):
-    """(s_i, A_i) of an Euclidean-law metric, by angle defect."""
-    from .mesh import angle_defect_curvature
-
-    A = vertex_dual_areas(mesh, metric)
-    return angle_defect_curvature(mesh, metric, _dual=A).values, A.values
-
-
 def _evaluated(mesh: SurfaceMesh, u: np.ndarray, metric: DiscreteMetric,
                time: float, area: float, target: float) -> FlowState:
     """The state at factors u: the one curvature evaluation of ``metric``."""
-    s, A = _curvature(mesh, metric)
+    A = vertex_dual_areas(mesh, metric).values
+    s = angle_defect_curvature(mesh, metric).values
     return FlowState(VertexField(u), metric, time, area,
                      float(np.max(np.abs(s - target))),
                      float(np.sum((s - target) ** 2 * A)), s, A)
@@ -116,7 +110,7 @@ def _evaluated(mesh: SurfaceMesh, u: np.ndarray, metric: DiscreteMetric,
 
 def _initial_state(mesh: SurfaceMesh, base: DiscreteMetric):
     """(state at u = 0, target curvature s_bar = 4 pi chi / a)."""
-    area = float(np.sum(face_areas(base)))
+    area = float(np.sum(base.areas))
     target = 4.0 * np.pi * euler_characteristic(mesh) / area
     return _evaluated(mesh, np.zeros(mesh.n_vertices), base, 0.0, area, target), target
 
@@ -131,13 +125,13 @@ def _renormalized(mesh: SurfaceMesh, base: DiscreteMetric, u: np.ndarray,
     """
     for _ in range(2):
         metric = conformal_lengths(base, VertexField(u))
-        area = float(np.sum(face_areas(metric)))
-        c = 0.5 * np.log(target_area / area)
+        c = 0.5 * np.log(target_area / float(np.sum(metric.areas)))
         u = u + c
+        if c == 0.0:  # scales no length: this is already the metric of u
+            return u, metric
         if abs(c) < 1e-15:
             break
-    metric = conformal_lengths(base, VertexField(u))
-    return u, metric
+    return u, conformal_lengths(base, VertexField(u))
 
 
 def flow_step(state: FlowState, dt: float, target: float, mesh: SurfaceMesh,

@@ -15,6 +15,11 @@ edge lengths tagged with one of two conventions:
 
 Mixing conventions raises; conversions are explicit.
 
+A metric computes its per-face record (corner lengths, angles, half-cotangents,
+areas) once, on first read, as read-only arrays every reader shares.  The
+cotangents are 0.5 cos/sin of the angles: the length form (b^2 + c^2 - a^2)/4A
+rounds differently and moves the cotan-H certificate and Plateau preconditioner.
+
 The discrete scalar curvature is twice the angle defect over the vertex dual
 area.  In the spherical convention each face additionally carries interior
 curvature (a geodesic triangle of the unit sphere has curvature 1 inside),
@@ -27,7 +32,8 @@ to rounding error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +57,6 @@ __all__ = [
     "euler_characteristic",
     "vertex_dual_areas",
     "total_area",
-    "face_areas",
-    "face_angles",
     "angle_defect_curvature",
     "refine",
     "save_mesh",
@@ -329,13 +333,19 @@ def _triangle_slacks(corner_lengths: np.ndarray) -> np.ndarray:
             / np.maximum(np.maximum(a, b), c))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class DiscreteMetric:
     """Edge lengths over fixed mesh combinatorics.
 
     ``face_corner_lengths[f, c]`` is the length of the edge opposite corner c
     of face f, the layout every angle/area formula wants.  Construction is
-    the package's one triangle-inequality guard (TriangleViolation).
+    the package's one triangle-inequality guard (TriangleViolation).  The
+    per-face record is computed once and read-only (module docstring).
     """
 
     edges: np.ndarray
@@ -361,9 +371,37 @@ class DiscreteMetric:
                 f"(least relative slack {float(slack[bad].min()):.3e})",
                 faces=[int(f) for f in bad[:32]])
 
-    @property
+    @cached_property
     def face_corner_lengths(self) -> np.ndarray:
-        return self.lengths[self.face_edge_ids]
+        return _read_only(self.lengths[self.face_edge_ids])
+
+    @cached_property
+    def angles(self) -> np.ndarray:
+        """Interior angles (F, 3) by the law of cosines; column c is corner c."""
+        L = self.face_corner_lengths
+        out = np.empty_like(L)
+        for c in range(3):
+            a, b, cc = L[:, c], L[:, (c + 1) % 3], L[:, (c + 2) % 3]
+            if self.convention == SPHERICAL:
+                num = np.cos(a) - np.cos(b) * np.cos(cc)
+                den = np.sin(b) * np.sin(cc)
+            else:
+                num = b * b + cc * cc - a * a
+                den = 2.0 * b * cc
+            out[:, c] = np.arccos(np.clip(num / den, -1.0, 1.0))
+        return _read_only(out)
+
+    @cached_property
+    def half_cotangents(self) -> np.ndarray:
+        """0.5 cot per corner (F, 3), the cotan weight on the opposite edge."""
+        return _read_only(0.5 * np.cos(self.angles) / np.sin(self.angles))
+
+    @cached_property
+    def areas(self) -> np.ndarray:
+        """Per-face areas: spherical excess or Heron, per the convention."""
+        L = self.face_corner_lengths
+        return _read_only(_spherical_excess(L) if self.convention == SPHERICAL
+                          else _heron(L))
 
     def as_euclidean(self) -> "DiscreteMetric":
         """Reinterpret the same numbers as flat-triangle lengths."""
@@ -390,24 +428,6 @@ def induced_metric(mesh: SurfaceMesh) -> DiscreteMetric:
                           mesh.face_edge_ids, mesh.n_vertices)
 
 
-def face_angles(metric: DiscreteMetric) -> np.ndarray:
-    """Interior angles (F, 3); column c is the angle at corner c."""
-    L = metric.face_corner_lengths
-    out = np.empty_like(L)
-    for c in range(3):
-        a = L[:, c]
-        b = L[:, (c + 1) % 3]
-        cc = L[:, (c + 2) % 3]
-        if metric.convention == SPHERICAL:
-            num = np.cos(a) - np.cos(b) * np.cos(cc)
-            den = np.sin(b) * np.sin(cc)
-        else:
-            num = b * b + cc * cc - a * a
-            den = 2.0 * b * cc
-        out[:, c] = np.arccos(np.clip(num / den, -1.0, 1.0))
-    return out
-
-
 def _heron(L: np.ndarray) -> np.ndarray:
     # Kahan's numerically stable Heron on the sides a >= b >= c; picking them
     # by min/max does no arithmetic, so the sides are exactly a sort's
@@ -429,20 +449,11 @@ def _spherical_excess(L: np.ndarray) -> np.ndarray:
     return 4.0 * np.arctan(np.sqrt(np.maximum(t, 0.0)))
 
 
-def face_areas(metric: DiscreteMetric) -> np.ndarray:
-    """Per-face areas: spherical excess or Heron, per the convention."""
-    L = metric.face_corner_lengths
-    if metric.convention == SPHERICAL:
-        return _spherical_excess(L)
-    return _heron(L)
-
-
 def vertex_dual_areas(mesh: SurfaceMesh, metric: DiscreteMetric) -> VertexField:
     """Barycentric dual areas: one third of each incident face."""
     _check_pair(mesh, metric)
-    A = face_areas(metric)
-    dual = np.zeros(mesh.n_vertices)
-    np.add.at(dual, mesh.faces.ravel(), np.repeat(A / 3.0, 3))
+    dual = np.bincount(mesh.faces.ravel(), np.repeat(metric.areas / 3.0, 3),
+                       minlength=mesh.n_vertices)
     if np.any(dual <= 0.0):
         raise DegenerateTriangle("a vertex has non-positive dual area")
     return VertexField(dual)
@@ -450,25 +461,22 @@ def vertex_dual_areas(mesh: SurfaceMesh, metric: DiscreteMetric) -> VertexField:
 
 def total_area(mesh: SurfaceMesh, metric: DiscreteMetric) -> float:
     _check_pair(mesh, metric)
-    return float(np.sum(face_areas(metric)))
+    return float(np.sum(metric.areas))
 
 
-def angle_defect_curvature(mesh: SurfaceMesh, metric: DiscreteMetric, *,
-                           _dual: VertexField | None = None) -> VertexField:
+def angle_defect_curvature(mesh: SurfaceMesh, metric: DiscreteMetric) -> VertexField:
     """Discrete scalar curvature s_i = 2 * defect_i / A_i (plus the spherical
     face-interior share, see the module docstring).
 
     Interior vertices use the 2*pi defect; boundary vertices (Plateau
-    patches) use pi.  ``_dual`` passes this metric's vertex_dual_areas in.
+    patches) use pi.
     """
     _check_pair(mesh, metric)
-    ang = face_angles(metric)
-    angle_sum = np.zeros(mesh.n_vertices)
-    np.add.at(angle_sum, mesh.faces.ravel(), ang.ravel())
+    angle_sum = np.bincount(mesh.faces.ravel(), metric.angles.ravel(),
+                            minlength=mesh.n_vertices)
     full = np.where(mesh.boundary_vertex_mask, np.pi, 2.0 * np.pi)
     defect = full - angle_sum
-    dual = (_dual or vertex_dual_areas(mesh, metric)).values
-    s = 2.0 * defect / dual
+    s = 2.0 * defect / vertex_dual_areas(mesh, metric).values
     if metric.convention == SPHERICAL:
         s = s + 2.0
     return VertexField(s)

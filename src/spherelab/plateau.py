@@ -250,9 +250,8 @@ def _descent_state(V: np.ndarray, F: np.ndarray, measured: tuple, free: np.ndarr
     C = np.zeros((len(V), amb, amb))
     np.add.at(C, tail, t[:, :, None] * t[:, None, :])
     _, Q = np.linalg.eigh(C)
-    dual = np.zeros(len(V))
-    np.add.at(dual, F.ravel(), np.repeat(measured[2] / 3.0, 3))
-    dual = np.maximum(dual, 1e-300)
+    dual = np.maximum(np.bincount(F.ravel(), np.repeat(measured[2] / 3.0, 3),
+                                  minlength=len(V)), 1e-300)
 
     Gn = G.copy()
     for col in (-1, -2):

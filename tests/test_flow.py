@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,13 @@ from spherelab.mesh import (
     VertexField,
     angle_defect_curvature,
     euler_characteristic,
-    face_areas,
     induced_metric,
     vertex_dual_areas,
 )
+from spherelab.plateau import build_xi
 from spherelab.zoo import clifford_torus, great_sphere, lawson_tau, veronese_rp2
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _euclidean_base(mesh):
@@ -42,7 +46,7 @@ def test_constant_factor_scales_lengths_and_area():
     c = 0.3
     out = conformal_lengths(base, VertexField(np.full(base.n_vertices, c)))
     assert np.max(np.abs(out.lengths / base.lengths - np.exp(c))) < 1e-12
-    ratio = np.sum(face_areas(out)) / np.sum(face_areas(base))
+    ratio = np.sum(out.areas) / np.sum(base.areas)
     assert abs(ratio - np.exp(2 * c)) < 1e-10
 
 
@@ -58,7 +62,7 @@ def test_smooth_factor_area_change_matches_the_integral():
         y = np.arctan2(m.vertices[:, 3], m.vertices[:, 2])
         u = 0.05 * np.cos(x + 0.3) + 0.03 * np.sin(2 * y - 0.7)
         scaled = conformal_lengths(base, VertexField(u))
-        da = float(np.sum(face_areas(scaled)) - np.sum(face_areas(base)))
+        da = float(np.sum(scaled.areas) - np.sum(base.areas))
         pred = float(np.sum((np.exp(2 * u) - 1.0) * A))
         mismatches.append(abs(da - pred))
     assert mismatches[0] < 5e-3
@@ -165,6 +169,21 @@ def test_veronese_flows_to_its_topological_curvature():
     assert abs(last["total_scalar"] - 4 * np.pi) < 1e-9
 
 
+def test_xi21_flows_to_its_negative_topological_curvature():
+    # the paper's deformation: xi_{2,1} at fixed area a to s_bar = 4 pi chi / a
+    mesh, _ = build_xi(CONFIG_DIR / "xi21.json")
+    chi = euler_characteristic(mesh)
+    assert chi == -2
+    trace, _ = run_uniformization(mesh, tol=1e-4)
+    trace.check_invariants()
+    last = trace.rows[-1]
+    assert last["curvature_dev"] < 1e-4
+    area = float(np.sum(induced_metric(mesh).as_euclidean().areas))
+    assert abs(last["area"] / area - 1.0) < 1e-9
+    assert 4 * np.pi * chi / area < 0
+    assert abs(last["total_scalar"] - 4 * np.pi * chi) < 1e-9
+
+
 def test_nonconvergence_carries_the_trace():
     with pytest.raises(NonConvergence) as exc:
         run_uniformization(lawson_tau(3, 1, 32, 8), tol=1e-12, max_steps=5)
@@ -217,12 +236,12 @@ def _reference_uniformization(mesh, tol, max_steps=20000):
     def curvature(metric):
         return (angle_defect_curvature(mesh, metric).values,
                 vertex_dual_areas(mesh, metric).values,
-                float(np.sum(face_areas(metric))))
+                float(np.sum(metric.areas)))
 
     def renormalized(u, target_area):
         for _ in range(2):
             metric = conformal_lengths(base, VertexField(u))
-            c = 0.5 * np.log(target_area / float(np.sum(face_areas(metric))))
+            c = 0.5 * np.log(target_area / float(np.sum(metric.areas)))
             u = u + c
             if abs(c) < 1e-15:
                 break
@@ -315,6 +334,34 @@ def test_each_scaled_metric_checks_the_triangle_inequality_once(monkeypatch):
     run_uniformization(mesh, tol=1e-4)
     assert calls["metrics"] > 100
     assert calls["slacks"] == calls["metrics"]
+
+
+# ---------------------------------------------------------------------------
+# one per-face record per metric
+
+
+def test_each_metric_computes_its_angles_and_areas_once(monkeypatch):
+    from spherelab.extrinsic import mean_curvature_vector
+
+    # the builders certify minimality, which measures their induced metrics
+    # on objects of their own; count only the runs below
+    clifford, tau = clifford_torus(32), lawson_tau(3, 1, 16, 4)
+    seen = {"angles": [], "areas": []}
+    for name, keys in seen.items():
+        prop = vars(DiscreteMetric)[name]
+
+        def counted(metric, compute=prop.func, keys=keys):
+            keys.append((metric.convention, metric.lengths.tobytes()))
+            return compute(metric)
+
+        monkeypatch.setattr(prop, "func", counted)
+    mean_curvature_vector(clifford)
+    assert [len(keys) for keys in seen.values()] == [1, 1]
+    trace, _ = run_uniformization(tau, tol=1e-4)
+    for keys in seen.values():
+        # at least one metric per accepted state, and no metric measured twice
+        assert len(keys) > len(trace.rows)
+        assert len(set(keys)) == len(keys)
 
 
 @pytest.mark.parametrize("max_steps", [0, -3])

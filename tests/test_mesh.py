@@ -213,7 +213,7 @@ def test_induced_lengths_are_quarter_circles():
 
 def test_octant_face_areas_exact():
     g = M.induced_metric(_octahedron())
-    assert np.allclose(M.face_areas(g), np.pi / 2, atol=1e-13)
+    assert np.allclose(g.areas, np.pi / 2, atol=1e-13)
 
 
 def test_sphere_area_exact_across_refinement():
@@ -260,15 +260,26 @@ def test_spherical_excess_octant_triangle():
     edges = np.array([[0, 1], [0, 2], [1, 2]])
     g = M.DiscreteMetric(edges, np.full(3, np.pi / 2), M.SPHERICAL,
                          np.array([[0, 1, 2]]), 3)
-    assert abs(float(M.face_areas(g)[0]) - np.pi / 2) < 1e-14
-    assert np.allclose(M.face_angles(g), np.pi / 2, atol=1e-14)
+    assert abs(float(g.areas[0]) - np.pi / 2) < 1e-14
+    assert np.allclose(g.angles, np.pi / 2, atol=1e-14)
+
+
+def test_the_per_face_record_is_read_only():
+    g = M.induced_metric(_octahedron())
+    for metric in (g, g.as_euclidean()):
+        for name in ("face_corner_lengths", "angles", "half_cotangents", "areas"):
+            record = getattr(metric, name)
+            # every reader gets this one array, so no reader may write it
+            assert getattr(metric, name) is record
+            with pytest.raises(ValueError):
+                record[0] = 1.0
 
 
 def test_heron_345():
     edges = np.array([[0, 1], [0, 2], [1, 2]])
     g = M.DiscreteMetric(edges, np.array([3.0, 4.0, 5.0]), M.EUCLIDEAN,
                          np.array([[0, 1, 2]]), 3)
-    assert abs(float(M.face_areas(g)[0]) - 6.0) < 1e-13
+    assert abs(float(g.areas[0]) - 6.0) < 1e-13
     # the order in which the sides come changes no bit of the area
     for sides in ((3.0, 4.0, 5.0), (1.0, 1.0 + 1e-12, 2e-9)):
         areas = M._heron(np.array(list(itertools.permutations(sides))))
