@@ -32,15 +32,24 @@ and steps: a point x with
 
 reuses the candidates of x0 without a tree query, because by the triangle
 inequality every other face stays d_best(x0) + delta away, beyond
-d_best(x) <= d_best(x0) + |x - x0|.  Within a reused set a face with
-centroid c_f and bounding radius r_f is skipped when
+d_best(x) <= d_best(x0) + |x - x0|.  The certifying round has already
+measured dist(x0, f) for every candidate f, and the record keeps those exact
+distances.  Within a reused set a face is skipped when
 
-    |x0 - c_f| - r_f > max(d_2(x0), d_best(x0) + 1e-9) + 2 (|x - x0| + margin),
+    dist(x0, f) > max(d_2(x0), d_best(x0) + 1e-9) + 2 (|x - x0| + margin),
 
-d_2 being the runner-up distance: that face is neither the best nor the
-runner-up at x, nor within 1e-9 of the best, so the ambiguity guard still
-sees every near tie.  Exactly tied faces are taken in face order, which
-makes reused and fresh candidate sets give bit-identical answers.
+d_2 being the runner-up distance: the distance to a face is 1-Lipschitz, so
+that face is neither the best nor the runner-up at x, nor within 1e-9 of the
+best, and the ambiguity guard still sees every near tie.  Exactly tied faces
+are taken in face order, which makes reused and fresh candidate sets give
+bit-identical answers.
+
+Each (point, face) pair is classified by the standard region test for the
+closest point on a triangle (Ericson, Real-Time Collision Detection, 2004,
+5.1.5): six dot products decide whether the closest point is a corner, an
+edge or the face.  The fifteen sign tests the test makes are packed into one
+key, and a table of all 2^15 keys gives the region the test would claim
+first, so a batch of pairs takes one lookup instead of six masked claims.
 
 So each point's closest faces are a pure function of the point.  Two kinds
 of particle have zero velocity at every t by construction: those at distance
@@ -58,6 +67,7 @@ is a convention, not a claim.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 from dataclasses import dataclass, field as dataclass_field
@@ -83,7 +93,7 @@ __all__ = [
 
 _AMBIGUITY_DIST = 1e-9
 _AMBIGUITY_U = 1e-6
-# absolute allowance for rounding in |x - x0| and delta
+# absolute allowance for rounding in computed distances
 _REUSE_MARGIN = 1e-12
 # rejection rounds for outside particles before epsilon is refused as too wide
 _OUTSIDE_ROUNDS = 1000
@@ -92,7 +102,7 @@ _OUTSIDE_ROUNDS = 1000
 def _bump(rho: np.ndarray, eps: float):
     """Quintic cutoff: (value, d/d rho); 1 on [0, eps], 0 on [2 eps, inf)."""
     rho = np.asarray(rho, dtype=float)
-    s = np.clip((rho - eps) / eps, 0.0, 1.0)
+    s = np.minimum(np.maximum((rho - eps) / eps, 0.0), 1.0)
     value = 1.0 - (10 * s ** 3 - 15 * s ** 4 + 6 * s ** 5)
     slope = -30.0 * s ** 2 * (1.0 - s) ** 2 / eps
     return value, slope
@@ -118,12 +128,12 @@ class _FaceCache:
         # bounding radius of each face about its centroid; the worst one is
         # the certification radius of the candidate search (any face can
         # beat its centroid distance by at most this)
-        self.radius = np.max([np.linalg.norm(V[F[:, k]] - centroids, axis=1)
-                              for k in range(3)], axis=0)
-        self.max_spread = float(self.radius.max())
+        radius = np.max([np.linalg.norm(V[F[:, k]] - centroids, axis=1)
+                         for k in range(3)], axis=0)
+        self.max_spread = float(radius.max())
         # a curved face also sags outward from its flat face by at most
         # 1 - |z| <= 1 - |z|^2 = sum_{i<j} b_i b_j |v_i - v_j|^2 <= diam^2 / 3
-        self.curved_spread = float(np.max(self.radius + diam * diam / 3.0))
+        self.curved_spread = float(np.max(radius + diam * diam / 3.0))
         self.n_faces = len(F)
         # jacobian[f, code] maps (u1 - u0, u2 - u0) to the gradient of u o cp
         # when cp lies on the feature of face f whose corners are the bits of
@@ -149,8 +159,9 @@ class _CandidateRecord:
     """Closest-face certificates of moving points (see the module docstring).
 
     Row i holds the anchor x0 of its last certificate, the candidate faces in
-    face order with lower bounds |x0 - c_f| - r_f (inf as padding), the reach
-    max(d_2(x0), d_best(x0) + 1e-9) and the slack delta (-inf: no record).
+    face order with their exact distances dist(x0, f) (inf as padding), the
+    reach max(d_2(x0), d_best(x0) + 1e-9) and the slack delta (-inf: no
+    record).
     """
 
     def __init__(self, n: int, dim: int):
@@ -165,61 +176,74 @@ class _CandidateRecord:
             setattr(self, name, getattr(self, name)[rows])
 
 
+@functools.cache
+def _region_table() -> np.ndarray:
+    """Region of ``_closest_on_triangles`` for each 15-bit sign key.
+
+    Bits 0-8 say q <= 0 and bits 9-14 say q >= 0 for the quantities q of
+    ``_closest_on_triangles``; the value is the first region whose claim the
+    bits meet, in the order corner A, B, C, edge AB, AC, BC, else the face (6).
+    Built on first use, so that commands which test no triangle never pay
+    for it.
+    """
+    d1, d2, d3, d6, e43, e56, vc, vb, va = (1 << i for i in range(9))
+    g1, g2, g3, g6, g43, g56 = (1 << i for i in range(9, 15))
+    claims = (d1 | d2, g3 | e43, g6 | e56, vc | g1 | d3, vb | g2 | d6,
+              va | g43 | g56)
+    keys = np.arange(1 << 15, dtype=np.uint16)
+    return np.select([keys & c == c for c in claims],
+                     np.arange(6, dtype=np.uint8), np.uint8(6))
+
+
+_KEY_BITS = np.array([1 << i for i in range(15)], dtype=np.uint16)
+
+
 def _closest_on_triangles(P, A, AB, AC):
     """Closest points of row-paired triangles; returns (points, barycentric).
 
-    Standard region decomposition; barycentric entries are exactly zero on
-    the region boundaries, which downstream gradient code relies on.
+    Standard region decomposition, one ``_region_table`` lookup per pair;
+    barycentric entries are exactly zero on the region boundaries, which
+    downstream gradient code relies on.
     """
-    AP = P - A
-    d1 = np.einsum("ij,ij->i", AB, AP)
-    d2 = np.einsum("ij,ij->i", AC, AP)
-    BP = AP - AB
-    d3 = np.einsum("ij,ij->i", AB, BP)
-    d4 = np.einsum("ij,ij->i", AC, BP)
-    CP = AP - AC
-    d5 = np.einsum("ij,ij->i", AB, CP)
-    d6 = np.einsum("ij,ij->i", AC, CP)
-    vc = d1 * d4 - d3 * d2
-    vb = d5 * d2 - d1 * d6
-    va = d3 * d6 - d5 * d4
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v_ab = d1 / (d1 - d3)
-        w_ac = d2 / (d2 - d6)
-        w_bc = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        denom = va + vb + vc
-        v_in = vb / denom
-        w_in = vc / denom
-
     n = len(P)
-    bary = np.zeros((n, 3))
-    taken = np.zeros(n, dtype=bool)
+    AP = P - A
+    BP = AP - AB
+    CP = AP - AC
+    # bits 0-8 of the region key say q <= 0 and bits 9-14 say q >= 0 for the
+    # first six rows; d4 - d3 <= 0 and d4 <= d3 agree on finite values
+    q = np.empty((9, n))
+    d1, d2, d3, d6, e43, e56, vc, vb, va = q
+    np.einsum("ij,ij->i", AB, AP, out=d1)
+    np.einsum("ij,ij->i", AC, AP, out=d2)
+    np.einsum("ij,ij->i", AB, BP, out=d3)
+    d4 = np.einsum("ij,ij->i", AC, BP)
+    d5 = np.einsum("ij,ij->i", AB, CP)
+    np.einsum("ij,ij->i", AC, CP, out=d6)
+    np.subtract(d4, d3, out=e43)
+    np.subtract(d5, d6, out=e56)
+    np.subtract(d1 * d4, d3 * d2, out=vc)
+    np.subtract(d5 * d2, d1 * d6, out=vb)
+    np.subtract(d3 * d6, d5 * d4, out=va)
+    bits = np.empty((15, n), dtype=bool)
+    np.less_equal(q, 0.0, out=bits[:9])
+    np.greater_equal(q[:6], 0.0, out=bits[9:])
+    region = _region_table()[_KEY_BITS @ bits.view(np.uint8)]
 
-    def claim(cond):
-        m = cond & ~taken
-        taken[m] = True
-        return m
-
-    m = claim((d1 <= 0) & (d2 <= 0))                        # vertex A
-    bary[m, 0] = 1.0
-    m = claim((d3 >= 0) & (d4 <= d3))                       # vertex B
-    bary[m, 1] = 1.0
-    m = claim((d6 >= 0) & (d5 <= d6))                       # vertex C
-    bary[m, 2] = 1.0
-    m = claim((vc <= 0) & (d1 >= 0) & (d3 <= 0))            # edge AB
-    bary[m, 0] = 1 - v_ab[m]
-    bary[m, 1] = v_ab[m]
-    m = claim((vb <= 0) & (d2 >= 0) & (d6 <= 0))            # edge AC
-    bary[m, 0] = 1 - w_ac[m]
-    bary[m, 2] = w_ac[m]
-    m = claim((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0))  # edge BC
-    bary[m, 1] = 1 - w_bc[m]
-    bary[m, 2] = w_bc[m]
-    interior = ~taken
-    bary[interior, 0] = 1 - v_in[interior] - w_in[interior]
-    bary[interior, 1] = v_in[interior]
-    bary[interior, 2] = w_in[interior]
+    # barycentrics of every region for every pair: corners A, B, C, edges
+    # AB, AC, BC, face
+    table = np.zeros((7, n, 3))
+    table[0, :, 0] = table[1, :, 1] = table[2, :, 2] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = d1 / (d1 - d3)
+        table[3, :, 0], table[3, :, 1] = 1 - v, v
+        w = d2 / (d2 - d6)
+        table[4, :, 0], table[4, :, 2] = 1 - w, w
+        w = e43 / (e43 + e56)
+        table[5, :, 1], table[5, :, 2] = 1 - w, w
+        denom = va + vb + vc
+        v, w = vb / denom, vc / denom
+        table[6, :, 0], table[6, :, 1], table[6, :, 2] = 1 - v - w, v, w
+    bary = table[region, np.arange(n)]
     cp = A + bary[:, 1:2] * AB + bary[:, 2:3] * AC
     return cp, bary
 
@@ -235,83 +259,94 @@ def _closest_faces(cache: _FaceCache, X: np.ndarray,
     certificate refreshes its row.
     """
     n = len(X)
+    if not n:
+        return _no_answers(0, X.shape[1])
     rec = _CandidateRecord(*X.shape) if _record is None else _record
-    out = (np.empty(n, dtype=np.int64), np.empty((n, X.shape[1])),
-           np.empty((n, 3)), np.empty(n), np.empty(n), np.empty((n, 3)),
-           np.empty(n, dtype=np.int64))
-    (out_face, out_cp, out_bary, out_dist, out_dist2, out_bary2,
-     out_face2) = out
-    rows = np.arange(n)
-    drift = np.linalg.norm(X - rec.anchor, axis=1) + _REUSE_MARGIN
-    k = 32
+    D = X - rec.anchor
+    drift = np.sqrt(np.add.reduce(D * D, axis=1)) + _REUSE_MARGIN
+    rows, out, k = np.arange(n), None, 32
     while len(rows):
         # rows within their slack take their recorded candidates; a row left
         # for a later round kept the record that sent it to the tree
-        k_eff, w = min(k, cache.n_faces), rec.faces.shape[1]
         query = ~(drift[rows] < rec.slack[rows])
-        asked, kept = rows[query], rows[~query]
-        cand = np.zeros((len(rows), max(k_eff, w)), dtype=np.int64)
-        keep = np.zeros(cand.shape, dtype=bool)
-        cand[~query, :w] = rec.faces[kept]
-        keep[~query, :w] = rec.lower[kept] <= \
-            (rec.reach + 2.0 * drift)[kept, None]
+        asked = rows[query]
         if len(asked):
+            k_eff, w = min(k, cache.n_faces), rec.faces.shape[1]
+            kept = rows[~query]
+            cand = np.zeros((len(rows), max(k_eff, w)), dtype=np.int64)
+            keep = np.zeros(cand.shape, dtype=bool)
+            cand[~query, :w] = rec.faces[kept]
+            keep[~query, :w] = rec.lower[kept] <= \
+                (rec.reach + 2.0 * drift)[kept, None]
             cd, ci = cache.tree.query(X[asked], k=k_eff)
             cd, ci = cd.reshape(-1, k_eff), ci.reshape(-1, k_eff)
-            cd_k = cd[:, -1]
             # in face order the first of exactly tied distances is the same
             # in every candidate set that holds them, reused or fresh
-            by_face = np.argsort(ci, axis=1)
-            cand[query, :k_eff] = ci = np.take_along_axis(ci, by_face, axis=1)
-            cd = np.take_along_axis(cd, by_face, axis=1)
+            ci = np.take_along_axis(ci, np.argsort(ci, axis=1), axis=1)
+            cand[query, :k_eff] = ci
             keep[query, :k_eff] = True
+        else:
+            cand = rec.faces[rows]
+            keep = rec.lower[rows] <= (rec.reach + 2.0 * drift)[rows, None]
         # one triangle test per kept (point, candidate) pair
         rr, cc = np.nonzero(keep)
         P = X[rows[rr]]
         F = cand[rr, cc]
         cp, bary = _closest_on_triangles(P, cache.v0[F], cache.ab[F],
                                          cache.ac[F])
+        D = P - cp
         dist = np.full(keep.shape, np.inf)
-        dist[rr, cc] = np.linalg.norm(P - cp, axis=1)
+        dist[rr, cc] = np.sqrt(np.add.reduce(D * D, axis=1))
         flat = np.zeros(keep.shape, dtype=np.int64)
         flat[rr, cc] = np.arange(len(rr))
         local = np.arange(len(rows))
         best = np.argmin(dist, axis=1)
         d_best = dist[local, best]
+        if len(asked):
+            # every candidate's distance, for the record, before the best
+            # is masked out
+            exact = dist[query, :k_eff]
         dist[local, best] = np.inf
         second = np.argmin(dist, axis=1)
         d_second = dist[local, second]
         certified = np.ones(len(rows), dtype=bool)
         if len(asked):
             if k_eff < cache.n_faces:
-                certified[query] = cd_k > d_best[query] + cache.max_spread
+                certified[query] = cd[:, -1] > d_best[query] + cache.max_spread
             new = certified[query]
             slot, d0 = asked[new], d_best[query][new]
-            if k_eff > rec.faces.shape[1]:
-                pad = ((0, 0), (0, k_eff - rec.faces.shape[1]))
+            if k_eff > w:
+                pad = ((0, 0), (0, k_eff - w))
                 rec.faces = np.pad(rec.faces, pad)
                 rec.lower = np.pad(rec.lower, pad, constant_values=np.inf)
             rec.anchor[slot] = X[slot]
             rec.faces[slot, :k_eff] = ci[new]
             rec.lower[slot] = np.inf
-            rec.lower[slot, :k_eff] = cd[new] - cache.radius[ci[new]]
+            rec.lower[slot, :k_eff] = exact[new]
             rec.reach[slot] = np.maximum(d_second[query][new],
                                          d0 + _AMBIGUITY_DIST)
             rec.slack[slot] = np.inf if k_eff == cache.n_faces else \
-                0.5 * (cd_k[new] - cache.max_spread - d0)
+                0.5 * (cd[new, -1] - cache.max_spread - d0)
 
-        sel, lsel = rows[certified], local[certified]
-        bsel, s2 = best[certified], second[certified]
-        out_face[sel] = cand[lsel, bsel]
-        out_cp[sel] = cp[flat[lsel, bsel]]
-        out_bary[sel] = bary[flat[lsel, bsel]]
-        out_dist[sel] = d_best[certified]
-        out_dist2[sel] = d_second[certified]
-        out_bary2[sel] = bary[flat[lsel, s2]]
-        out_face2[sel] = cand[lsel, s2]
+        fb, fs = flat[local, best], flat[local, second]
+        found = (cand[local, best], cp[fb], bary[fb], d_best, d_second,
+                 bary[fs], cand[local, second])
+        if out is None:
+            if certified.all():
+                return found
+            out = _no_answers(n, X.shape[1])
+        for o, a in zip(out, found):
+            o[rows[certified]] = a[certified]
         rows = rows[~certified]
         k *= 4
     return out
+
+
+def _no_answers(n: int, dim: int):
+    """Uninitialized outputs of ``_closest_faces`` for n points in R^dim."""
+    return (np.empty(n, dtype=np.int64), np.empty((n, dim)), np.empty((n, 3)),
+            np.empty(n), np.empty(n), np.empty((n, 3)),
+            np.empty(n, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -383,6 +418,8 @@ def _sheet_ties(cache: _FaceCache, face, dist, dist2, face2) -> np.ndarray:
     """Rows whose runner-up ties with the best face and shares none of its
     vertices: two sheets touch (adjacent faces tie where cp changes feature)."""
     tie = np.flatnonzero(dist2 - dist < _AMBIGUITY_DIST)
+    if not len(tie):
+        return tie
     fa, fb = cache.faces[face[tie]], cache.faces[face2[tie]]
     return tie[~(fa[:, :, None] == fb[:, None, :]).any(axis=(1, 2))]
 
@@ -399,11 +436,12 @@ def _field_batch(field: TubeField, X: np.ndarray, t: float,
     certifies.  ``_record`` is passed on to ``_closest_faces``.
     """
     cache, eps = field._cache, field.epsilon
-    values, grads = np.zeros(len(X)), np.zeros_like(X)
     nearest = _closest_faces(cache, X, _record=_record)
     live = nearest[3] < 2.0 * eps
-    Xl = X[live]
-    fi, cp, bary, dist, dist2, bary2, fi2 = (a[live] for a in nearest)
+    every = live.all()
+    Xl = X if every else X[live]
+    fi, cp, bary, dist, dist2, bary2, fi2 = \
+        nearest if every else (a[live] for a in nearest)
 
     u = field.u_at(t)
     tie = _sheet_ties(cache, fi, dist, dist2, fi2)
@@ -418,24 +456,28 @@ def _field_batch(field: TubeField, X: np.ndarray, t: float,
                 f"query point disagree on u by {gap[0]:.3e}; "
                 f"shrink epsilon")
 
-    F = cache.faces[fi]
-    u0, u1, u2 = u[F[:, 0]], u[F[:, 1]], u[F[:, 2]]
-    u_cp = bary[:, 0] * u0 + bary[:, 1] * u1 + bary[:, 2] * u2
+    U = u[cache.faces[fi]]
+    u_cp = bary[:, 0] * U[:, 0] + bary[:, 1] * U[:, 1] + bary[:, 2] * U[:, 2]
     B, dB = _bump(dist, eps)
     vals = u_cp * B
 
     # Jacobian of u o cp from the closest feature's code
     g = np.einsum("nij,nj->ni", cache.jacobian[fi, _feature_code(bary)],
-                  np.column_stack([u1 - u0, u2 - u0]))
+                  U[:, 1:] - U[:, :1])
 
-    radial = np.zeros_like(Xl)
     off = dist > 0
-    radial[off] = (Xl[off] - cp[off]) * (dB[off] / dist[off])[:, None] * \
-        u_cp[off][:, None]
+    if off.all():
+        radial = (Xl - cp) * (dB / dist)[:, None] * u_cp[:, None]
+    else:
+        radial = np.zeros_like(Xl)
+        radial[off] = (Xl[off] - cp[off]) * (dB[off] / dist[off])[:, None] * \
+            u_cp[off][:, None]
     total = B[:, None] * g + radial
     # sphere-tangent projection at the query points
     total -= np.sum(total * Xl, axis=1)[:, None] * Xl
-
+    if every:
+        return vals, total
+    values, grads = np.zeros(len(X)), np.zeros_like(X)
     values[live] = vals
     grads[live] = total
     return values, grads
@@ -518,10 +560,13 @@ def build_ensemble(field: TubeField, n_surface: int = 20, n_tube: int = 20,
         d, _ = cache.tree.query(cand, k=1)
         far = cand[d - cache.max_diam > 2.2 * eps]
         if len(far) == 0:
-            # fine meshes leave no slack via the crude centroid bound;
-            # fall back to exact distances
-            _, _, _, dist, _, _, _ = _closest_faces(cache, cand)
-            far = cand[dist > 2.1 * eps]
+            # fine meshes leave no slack via the crude centroid bound; fall
+            # back to exact distances, which a centroid distance bounds from
+            # above (the centroid lies on its face)
+            beyond = np.flatnonzero(d > 2.1 * eps - _REUSE_MARGIN)
+            if len(beyond):
+                dist = _closest_faces(cache, cand[beyond])[3]
+                far = cand[beyond[dist > 2.1 * eps]]
         outside = np.vstack([outside, far[: n_outside - len(outside)]])
     if len(outside) < n_outside:
         raise ValueError(
@@ -603,7 +648,7 @@ def integrate_palais_flow(field: TubeField, ensemble: ParticleEnsemble,
 
 
 def _reproject(X: np.ndarray) -> np.ndarray:
-    return X / np.linalg.norm(X, axis=1, keepdims=True)
+    return X / np.sqrt(np.add.reduce(X * X, axis=1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -703,10 +748,13 @@ def trajectory_csv(ensemble: ParticleEnsemble) -> str:
     dim = ensemble.positions.shape[1]
     out = io.StringIO()
     out.write("particle_id,tag,t," + ",".join(f"x{k}" for k in range(dim)) + "\n")
-    line = "%d,%s,%.17g" + ",%.17g" * dim + "\n"
+    # one template per log entry: t joins the pieces, the coordinates fill it
+    row = ",%.17g" * dim + "\n"
+    heads = [f"{pid},{tag.replace('%', '%%')},"
+             for pid, tag in enumerate(ensemble.tags)]
+    pieces = heads[:1] + [row + head for head in heads[1:]] + [row]
     for t, X in ensemble.log:
-        for pid, coords in enumerate(X.tolist()):
-            out.write(line % (pid, ensemble.tags[pid], t, *coords))
+        out.write(("%.17g" % t).join(pieces) % tuple(X.ravel().tolist()))
     return out.getvalue()
 
 

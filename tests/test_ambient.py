@@ -77,6 +77,85 @@ def _all_face_distances(cache, x):
     return np.linalg.norm(x - cp_all, axis=1)
 
 
+def _masked_claims_reference(P, A, AB, AC):
+    """The closest-point region test as six masked claims, in claim order."""
+    AP = P - A
+    d1 = np.einsum("ij,ij->i", AB, AP)
+    d2 = np.einsum("ij,ij->i", AC, AP)
+    BP = AP - AB
+    d3 = np.einsum("ij,ij->i", AB, BP)
+    d4 = np.einsum("ij,ij->i", AC, BP)
+    CP = AP - AC
+    d5 = np.einsum("ij,ij->i", AB, CP)
+    d6 = np.einsum("ij,ij->i", AC, CP)
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_ab = d1 / (d1 - d3)
+        w_ac = d2 / (d2 - d6)
+        w_bc = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+        denom = va + vb + vc
+        v_in = vb / denom
+        w_in = vc / denom
+
+    n = len(P)
+    bary = np.zeros((n, 3))
+    taken = np.zeros(n, dtype=bool)
+
+    def claim(cond):
+        m = cond & ~taken
+        taken[m] = True
+        return m
+
+    m = claim((d1 <= 0) & (d2 <= 0))                        # vertex A
+    bary[m, 0] = 1.0
+    m = claim((d3 >= 0) & (d4 <= d3))                       # vertex B
+    bary[m, 1] = 1.0
+    m = claim((d6 >= 0) & (d5 <= d6))                       # vertex C
+    bary[m, 2] = 1.0
+    m = claim((vc <= 0) & (d1 >= 0) & (d3 <= 0))            # edge AB
+    bary[m, 0] = 1 - v_ab[m]
+    bary[m, 1] = v_ab[m]
+    m = claim((vb <= 0) & (d2 >= 0) & (d6 <= 0))            # edge AC
+    bary[m, 0] = 1 - w_ac[m]
+    bary[m, 2] = w_ac[m]
+    m = claim((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0))  # edge BC
+    bary[m, 1] = 1 - w_bc[m]
+    bary[m, 2] = w_bc[m]
+    interior = ~taken
+    bary[interior, 0] = 1 - v_in[interior] - w_in[interior]
+    bary[interior, 1] = v_in[interior]
+    bary[interior, 2] = w_in[interior]
+    cp = A + bary[:, 1:2] * AB + bary[:, 2:3] * AC
+    return cp, bary
+
+
+def test_region_lookup_equals_the_masked_claims_bit_for_bit():
+    rng = np.random.default_rng(19)
+    A, AB, AC = rng.standard_normal((3, 500, 4))
+    cases = {"random": (rng.standard_normal((500, 4)), A, AB, AC),
+             "at A": (A.copy(), A, AB, AC),
+             "at B": (A + AB, A, AB, AC),
+             "at an edge midpoint": (A + 0.5 * AB, A, AB, AC),
+             "on a degenerate face": (rng.standard_normal((500, 4)), A, AB,
+                                      2.0 * AB)}
+    # uniform tau_{3,1} 24x6: vertices 6, 54 and 102 lie 1e-16 apart, so
+    # every face near them sees a point on or beside one of its corners
+    mesh = lawson_tau(3, 1, 24, 6)
+    cache = _FaceCache(mesh)
+    assert np.abs(mesh.vertices[[54, 102]] - mesh.vertices[6]).max() < 1e-15
+    P = np.repeat(mesh.vertices[[6, 54, 102]], cache.n_faces, axis=0)
+    F = np.tile(np.arange(cache.n_faces), 3)
+    cases["triple point"] = (P, cache.v0[F], cache.ab[F], cache.ac[F])
+    for label, args in cases.items():
+        cp, bary = _closest_on_triangles(*args)
+        cp_ref, bary_ref = _masked_claims_reference(*args)
+        assert cp.tobytes() == cp_ref.tobytes(), label
+        assert bary.tobytes() == bary_ref.tobytes(), label
+
+
 def test_closest_point_matches_brute_force():
     mesh = clifford_torus(12)
     field = TubeField(mesh, ((0.0, np.zeros(mesh.n_vertices)),), 0.2)
@@ -248,6 +327,28 @@ def test_candidate_reuse_keeps_the_flow_bit_exact(monkeypatch):
         assert sum(asked) < 0.1 * stages, "candidates were not reused"
         assert np.abs(out.positions - start.positions).max() > 1e-4, \
             "the particles must really move"
+
+
+def test_certificates_prune_with_exact_distances(monkeypatch):
+    # the spherelab ambient defaults: seed 7 on tau_{3,1} 24x6 to t = 0.25;
+    # with centroid bounds |x0 - c_f| - r_f in the record, a triangle-test
+    # call took 423 pairs on average
+    mesh = lawson_tau(3, 1, 24, 6)
+    _, u = run_uniformization(mesh, tol=1e-4)
+    field = TubeField.from_flow(mesh, u.values)
+    dt = 0.5 * field.epsilon / (4.0 * _gradient_bound(field))
+    ens = build_ensemble(field, seed=7)
+    expected = _reference_rk4(field, ens.positions, 0.25, dt)
+    pairs = []
+
+    def triangles(P, *rest):
+        pairs.append(len(P))
+        return _closest_on_triangles(P, *rest)
+
+    monkeypatch.setattr(ambient, "_closest_on_triangles", triangles)
+    out = integrate_palais_flow(field, ens, 0.25, dt)
+    assert np.array_equal(out.positions, expected)
+    assert np.mean(pairs) < 150
 
 
 def _spy_on_triangle_tests(monkeypatch):
@@ -711,13 +812,60 @@ def test_integration_time_grid_handles_uneven_final_step():
     assert times == pytest.approx([0.0, 0.1, 0.2, 0.25])
 
 
-def test_too_wide_a_tube_is_refused_instead_of_sampled_forever():
+def _spy_on_closest_faces(monkeypatch):
+    calls = []
+
+    def closest_faces(cache, X, *rest):
+        calls.append(len(X))
+        return _closest_faces(cache, X, *rest)
+
+    monkeypatch.setattr(ambient, "_closest_faces", closest_faces)
+    return calls
+
+
+def test_too_wide_a_tube_is_refused_instead_of_sampled_forever(monkeypatch):
     # no point of S^3 lies much more than 0.395 from tau_{3,1} 24x6, so no
-    # outside particle can sit beyond 2.1 epsilon = 0.525
+    # outside particle can sit beyond 2.1 epsilon = 0.525; no centroid lies
+    # that far either, and a centroid distance bounds the surface distance
+    # from above, so no candidate needs an exact distance
     mesh = lawson_tau(3, 1, 24, 6)
     field = TubeField.from_flow(mesh, np.zeros(mesh.n_vertices), epsilon=0.25)
+    calls = _spy_on_closest_faces(monkeypatch)
     with pytest.raises(ValueError, match="epsilon = 0.25"):
         build_ensemble(field)
+    assert calls == []
+
+
+def _outside_reference(field, n_outside, seed):
+    """build_ensemble's outside particles, every fallback candidate measured
+    exactly; the surface and tube draws of size 0 leave the stream alone."""
+    rng = np.random.default_rng(seed)
+    cache, eps = field._cache, field.epsilon
+    outside = np.empty((0, 4))
+    for _ in range(ambient._OUTSIDE_ROUNDS):
+        if len(outside) >= n_outside:
+            break
+        cand = rng.standard_normal((4 * n_outside, 4))
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        d, _ = cache.tree.query(cand, k=1)
+        far = cand[d - cache.max_diam > 2.2 * eps]
+        if len(far) == 0:
+            _, _, _, dist, _, _, _ = _closest_faces(cache, cand)
+            far = cand[dist > 2.1 * eps]
+        outside = np.vstack([outside, far[: n_outside - len(outside)]])
+    return outside
+
+
+def test_outside_fallback_measures_only_candidates_that_can_pass(monkeypatch):
+    # tau_{3,1} 64x16 is fine enough that the centroid bound leaves no
+    # slack, so every outside particle comes from the exact fallback
+    mesh = lawson_tau(3, 1, 64, 16)
+    field = TubeField.from_flow(mesh, np.zeros(mesh.n_vertices))
+    calls = _spy_on_closest_faces(monkeypatch)
+    for seed in range(4):
+        ens = build_ensemble(field, 0, 0, 20, seed=seed)
+        assert np.array_equal(ens.positions, _outside_reference(field, 20, seed))
+    assert calls and max(calls) < 80
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -0.1, np.nan, np.inf])

@@ -69,6 +69,10 @@ run_code ambient_uniform ambient --mesh clifford.mesh.json --t-end 0.1 \
     --out-dir ambient_uniform
 run_code ambient_infinite_t_end ambient --mesh tau24.mesh.json --t-end inf \
     --out-dir ambient_infinite_t_end
+# no point of S^3 lies beyond 2.1 epsilon of this surface: exit 2, and the
+# centroid bound refuses it without an exact distance
+run_code ambient_too_wide ambient --mesh tau24.mesh.json --epsilon 0.25 \
+    --t-end 0.01 --out-dir ambient_wide
 run_code flow_nan_tol flow --mesh clifford.mesh.json --tol nan --max-steps 5 \
     -o clifford_nan_tol.trace.csv
 # variants of configs/xi21.json: a five-iteration budget, and the Plateau
