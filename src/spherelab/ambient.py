@@ -595,7 +595,7 @@ def _gradient_bound(field: TubeField) -> float:
 
 
 def integrate_palais_flow(field: TubeField, ensemble: ParticleEnsemble,
-                          t_end: float, dt: float) -> ParticleEnsemble:
+                          t_end: float, dt: float | None = None) -> ParticleEnsemble:
     """Advect the ensemble by RK4 along the tube-field gradient.
 
     Stages re-project to the sphere; a particle whose four stage velocities
@@ -604,16 +604,20 @@ def integrate_palais_flow(field: TubeField, ensemble: ParticleEnsemble,
     points of a resting row leave every later batch (module docstring).
     Raises ValueError unless dt > 0 and t_end >= 0 are finite, and
     StepTooLarge unless dt <= epsilon / (4 max|grad|), so no particle can
-    cross the tube shell in a single step.
+    cross the tube shell in a single step.  With dt left out the step is
+    half that largest stable step; when u vanishes everywhere any step is
+    stable, and the flow takes one step to t_end (or 1.0 when t_end is 0).
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
-        if not np.isfinite(value):
+        if value is not None and not np.isfinite(value):
             raise ValueError(f"{name} = {value} must be finite")
-    if not dt > 0:
+    if dt is not None and not dt > 0:
         raise ValueError(f"dt = {dt} must be positive")
     if not t_end >= 0:
         raise ValueError(f"t_end = {t_end} must be nonnegative")
     bound = _gradient_bound(field)
+    if dt is None:
+        dt = 0.5 * field.epsilon / (4.0 * bound) if bound > 0 else (t_end or 1.0)
     if bound > 0 and dt > field.epsilon / (4.0 * bound):
         raise StepTooLarge(
             f"dt = {dt} exceeds epsilon / (4 max|grad|) = "

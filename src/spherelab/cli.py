@@ -1,7 +1,9 @@
 """Batch front end: build surfaces, measure them, run flows, emit tables.
 
 One command per process.  Exit codes: 0 success, 2 validation failure,
-3 numerical non-convergence, 4 I/O trouble.  Every number prints with 17
+3 numerical non-convergence, 4 I/O trouble.  The error's type decides
+between 2 and 3: a ``NumericFailure`` exits 3, any other ``SpherelabError``
+(and a ``ValueError`` or ``KeyError``) exits 2.  Every number prints with 17
 significant digits and all summation orders are fixed, so rerunning a
 command with the same arguments produces byte-identical output; the only
 randomness anywhere is the particle placement of ``ambient``, seeded by
@@ -21,7 +23,6 @@ import numpy as np
 from .ambient import (
     ParticleEnsemble,
     TubeField,
-    _gradient_bound,
     build_ensemble,
     conformality_residual,
     curved_surface_distance,
@@ -29,16 +30,7 @@ from .ambient import (
     residual_json,
     trajectory_csv,
 )
-from .errors import (
-    ClosestPointAmbiguous,
-    IllConditionedFit,
-    InsufficientNeighborhood,
-    NonConvergence,
-    NotMinimalAtResolution,
-    SpherelabError,
-    StalledDescent,
-    WeldFailure,
-)
+from .errors import NonConvergence, NumericFailure, SpherelabError
 from .extrinsic import ExtrinsicField
 from .flow import run_uniformization, trace_csv
 from .functionals import evaluate_functionals, functional_csv, sigma_of_class
@@ -50,12 +42,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-# exceptions that mean "the computation ran and failed to converge/resolve",
-# as opposed to bad input
-_NUMERIC_ERRORS = (NonConvergence, StalledDescent, ClosestPointAmbiguous,
-                   NotMinimalAtResolution, WeldFailure, IllConditionedFit,
-                   InsufficientNeighborhood)
 
 
 def _g(x) -> str:
@@ -169,14 +155,7 @@ def cmd_ambient(args) -> int:
     _, u_field = run_uniformization(mesh, tol=args.flow_tol, max_steps=args.max_steps)
     u = u_field.values
     field = TubeField.from_flow(mesh, u, epsilon=args.epsilon)
-    bound = _gradient_bound(field)
-    if args.dt:
-        dt = args.dt
-    elif bound > 0:
-        dt = 0.5 * field.epsilon / (4.0 * bound)
-    else:
-        # u vanishes everywhere, so any step is stable: one step to t_end
-        dt = args.t_end if args.t_end > 0 else 1.0
+    dt = args.dt or None
     ensemble = integrate_palais_flow(field, build_ensemble(field, seed=args.seed),
                                      t_end=args.t_end, dt=dt)
     carrier = ParticleEnsemble(mesh.vertices.copy(), ["vertex"] * mesh.n_vertices, [])
@@ -280,7 +259,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERIC_ERRORS as err:
+    except NumericFailure as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except (FileNotFoundError, IsADirectoryError, PermissionError,

@@ -1,9 +1,11 @@
 """Exception types shared across the package.
 
 Every error raised on purpose by spherelab derives from ``SpherelabError`` so
-callers can catch the whole family at once.  A few exceptions carry payload
-(offending face indices, a flow trace, a descent residual) because the caller
-is expected to report those numbers rather than merely note the failure.
+callers can catch the whole family at once; a failed computation, as opposed
+to bad input, raises a ``NumericFailure`` (the CLI's exit 3, not 2).  A few
+exceptions carry payload (offending face indices, a flow trace, a descent
+residual) because the caller is expected to report those numbers rather than
+merely note the failure.
 """
 
 from __future__ import annotations
@@ -11,6 +13,10 @@ from __future__ import annotations
 
 class SpherelabError(Exception):
     """Base class for all package-specific errors."""
+
+
+class NumericFailure(SpherelabError):
+    """A computation ran on valid input and failed to converge or resolve."""
 
 
 class DimensionMismatch(SpherelabError):
@@ -45,11 +51,11 @@ class FieldMeshMismatch(SpherelabError):
     """A per-vertex field does not match the mesh it was paired with."""
 
 
-class InsufficientNeighborhood(SpherelabError):
+class InsufficientNeighborhood(NumericFailure):
     """A vertex has too few neighbors for the requested local fit."""
 
 
-class IllConditionedFit(SpherelabError):
+class IllConditionedFit(NumericFailure):
     """A local least-squares fit is too ill-conditioned to trust."""
 
 
@@ -61,7 +67,7 @@ class ModulusOutOfRange(SpherelabError):
     """Elliptic-integral modulus outside [0, 1)."""
 
 
-class NotMinimalAtResolution(SpherelabError):
+class NotMinimalAtResolution(NumericFailure):
     """A builder that promises a minimal surface failed its own check."""
 
 
@@ -69,7 +75,7 @@ class NonOrientableSource(SpherelabError):
     """An operation requiring an oriented surface received a non-orientable one."""
 
 
-class WeldFailure(SpherelabError):
+class WeldFailure(NumericFailure):
     """Vertex identification during a weld exceeded tolerance or was inconsistent."""
 
 
@@ -85,7 +91,7 @@ class TriangleViolation(DegenerateTriangle):
         self.faces = [] if faces is None else list(faces)
 
 
-class StalledDescent(SpherelabError):
+class StalledDescent(NumericFailure):
     """Plateau descent plateaued above tolerance; carries the last residual."""
 
     def __init__(self, message: str, residual: float, iterations: int, mesh=None):
@@ -95,7 +101,7 @@ class StalledDescent(SpherelabError):
         self.mesh = mesh
 
 
-class NonConvergence(SpherelabError):
+class NonConvergence(NumericFailure):
     """A flow hit its step budget before reaching tolerance; carries the trace."""
 
     def __init__(self, message: str, trace=None, state=None):
@@ -108,5 +114,5 @@ class StepTooLarge(SpherelabError):
     """Requested integrator step violates the stability bound."""
 
 
-class ClosestPointAmbiguous(SpherelabError):
+class ClosestPointAmbiguous(NumericFailure):
     """A tube-field query sits on a ridge between surface sheets that disagree."""

@@ -408,12 +408,15 @@ class ExtrinsicField:
     are the trace of the same fitted quadric that yields ``alpha_sq``, so
     the bundle's H and alpha describe one tensor and the Gauss residual
     plays it against the independent angle-defect curvature.
+    ``dual_areas``, the quadrature weights of every integral over the mesh,
+    come from the induced metric the angle defect was measured on.
     """
 
     mean_curvature: np.ndarray
     alpha_sq: np.ndarray
     scalar_curvature: np.ndarray
     residual: np.ndarray
+    dual_areas: np.ndarray
 
     def __post_init__(self):
         if np.any(self.alpha_sq < -1e-12):
@@ -427,7 +430,7 @@ class ExtrinsicField:
         alpha_sq = np.maximum(alpha_sq, 0.0)
         h2 = np.sum(H * H, axis=1)
         res = s - (2.0 + h2 - alpha_sq)
-        return cls(H, alpha_sq, s, res)
+        return cls(H, alpha_sq, s, res, vertex_dual_areas(mesh, g).values)
 
     def check_invariants(self, mesh: SurfaceMesh):
         dots = np.abs(np.sum(self.mean_curvature * mesh.vertices, axis=1))
@@ -442,8 +445,6 @@ def gauss_equation_residual(mesh: SurfaceMesh) -> ResidualReport:
     weighted by vertex dual areas.
     """
     field = ExtrinsicField.compute(mesh)
-    g = induced_metric(mesh)
-    A = vertex_dual_areas(mesh, g).values
     res = np.abs(field.residual)
     return ResidualReport(field.residual, float(np.max(res)),
-                          _area_weighted_median(res, A))
+                          _area_weighted_median(res, field.dual_areas))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence, TriangleViolation
+from .errors import NonConvergence, NumericFailure, TriangleViolation
 from .mesh import (
     DiscreteMetric,
     EUCLIDEAN,
@@ -75,12 +75,13 @@ class FlowTrace:
     rows: list
 
     def check_invariants(self):
+        """Raise NumericFailure if area or total scalar curvature drifts."""
         areas = np.array([r["area"] for r in self.rows])
         scal = np.array([r["total_scalar"] for r in self.rows])
         if np.max(np.abs(areas / areas[0] - 1.0)) > 1e-9:
-            raise ValueError("area drifts along the trace")
+            raise NumericFailure("area drifts along the trace")
         if np.max(np.abs(scal - scal[0])) > 1e-9 * max(1.0, abs(scal[0])):
-            raise ValueError("total scalar curvature drifts along the trace")
+            raise NumericFailure("total scalar curvature drifts along the trace")
 
 
 def conformal_lengths(base: DiscreteMetric, u: VertexField) -> DiscreteMetric:
@@ -153,7 +154,8 @@ def run_uniformization(mesh: SurfaceMesh, tol: float = 1e-4,
     Returns (FlowTrace, final u).  Curvature target is s_bar = 4 pi chi / a
     with a the Euclidean-law area of the induced metric (for chi = 0 the
     target is exactly zero).  Raises NonConvergence, carrying the trace and the
-    last accepted state, when the step budget or the dt floor is exhausted.
+    last accepted state, when the step budget or the dt floor is exhausted,
+    and NumericFailure when the trace's area or total curvature drifts.
     Raises ValueError for an open mesh, a tol that is not finite and
     positive, or max_steps < 1.
     """

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldMeshMismatch, ModulusOutOfRange, NonpositiveWillmore
+from .errors import FieldMeshMismatch, ModulusOutOfRange, NonpositiveWillmore, NumericFailure
 from .extrinsic import ExtrinsicField
-from .mesh import SurfaceMesh, euler_characteristic, induced_metric, vertex_dual_areas
+from .mesh import SurfaceMesh, euler_characteristic
 
 __all__ = [
     "FunctionalReport",
@@ -92,13 +92,13 @@ def evaluate_functionals(mesh: SurfaceMesh, ext: ExtrinsicField) -> FunctionalRe
 
     The total scalar curvature comes out twice: once as W - D and once as
     the angle-defect integral sum s_i A_i; their difference is exactly the
-    integrated Gauss residual, which is verified here before reporting.
+    integrated Gauss residual, which is verified here before reporting
+    (NumericFailure when it is not).
     """
     if len(ext.alpha_sq) != mesh.n_vertices or len(ext.mean_curvature) != mesh.n_vertices:
         raise FieldMeshMismatch(
             f"field has {len(ext.alpha_sq)} vertices, mesh has {mesh.n_vertices}")
-    g = induced_metric(mesh)
-    A = vertex_dual_areas(mesh, g).values
+    A = ext.dual_areas
     area = float(np.sum(A))
     theta = 2.0 * area
     psi = float(np.sum(np.sum(ext.mean_curvature ** 2, axis=1) * A))
@@ -109,7 +109,7 @@ def evaluate_functionals(mesh: SurfaceMesh, ext: ExtrinsicField) -> FunctionalRe
     defect_route = float(np.sum(ext.scalar_curvature * A))
     budget = float(np.sum(np.abs(ext.residual) * A)) + 1e-9 * max(1.0, abs(total_scalar))
     if abs(defect_route - total_scalar) > budget:
-        raise ValueError(
+        raise NumericFailure(
             "angle-defect and functional routes to the total scalar curvature "
             f"disagree beyond the residual budget: {defect_route} vs {total_scalar}")
     return FunctionalReport(theta, psi, pi_, total_scalar, willmore, dfun,

@@ -359,6 +359,10 @@ class DiscreteMetric:
             raise ValueError(f"unknown length convention {self.convention!r}")
         lengths = np.asarray(self.lengths, dtype=float)
         object.__setattr__(self, "lengths", lengths)
+        if not np.isfinite(lengths).all():  # NaN would pass every test below
+            bad = np.flatnonzero(~np.isfinite(self.face_corner_lengths).all(axis=1))
+            raise TriangleViolation(f"{len(bad)} faces have non-finite edge lengths",
+                                    faces=[int(f) for f in bad[:32]])
         if np.any(lengths <= 0.0):
             raise DegenerateTriangle("non-positive edge length")
         if self.convention == SPHERICAL and np.any(lengths >= np.pi):

@@ -46,7 +46,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import AntipodalPair, StalledDescent, WeldFailure, WrongEuler
 from .extrinsic import cotan_laplacian
-from .mesh import (SPHERICAL, DiscreteMetric, SurfaceMesh, _heron, _spherical_excess,
+from .mesh import (EUCLIDEAN, DiscreteMetric, SurfaceMesh, _heron, _spherical_excess,
                    euler_characteristic)
 from .sphere import (AmbientPoint, SphereIsometry, geodesic_distances,
                      reflection_across_great_circle)
@@ -299,8 +299,9 @@ def solve_plateau(problem: PlateauProblem, tol: float = 1e-2,
         residual = float(np.max(np.linalg.norm(H, axis=1)))
         if residual < tol:
             return PlateauSolution(disk.with_vertices(V), residual, it, area)
+        # the cotan weights read the flat layout, so build it directly
         metric = DiscreteMetric(ends, geodesic_distances(V[ends[:, 0]], V[ends[:, 1]]),
-                                SPHERICAL, fe, disk.n_vertices)
+                                EUCLIDEAN, fe, disk.n_vertices)
         L = cotan_laplacian(disk, metric)[free][:, free]
         D = splu(L.tocsc()).solve(H[free] * dual[free, None])
         while True:

@@ -388,8 +388,9 @@ def bipolar(mesh: SurfaceMesh) -> BipolarSurface:
     under the wedge map's deck transformations (see the ``sampling`` option
     of :func:`lawson_tau`); on a generic grid nothing coincides and the
     output is a multiple cover; images closer than 1e-8 are welded.
-    Normals come from the mesh when attached, else from the face aggregation
-    of the extrinsic module.
+    The normals must be attached to the mesh (the builders' analytic ones):
+    aggregated face normals are not the wedge's normals and give a
+    different, non-minimal surface, so a mesh without them is refused.
 
     The result lives in S^5 (coordinates = six wedge components); the rank
     of the linear span is reported alongside, 5 for tau_{3,1} whose bipolar
@@ -399,10 +400,10 @@ def bipolar(mesh: SurfaceMesh) -> BipolarSurface:
         raise NonOrientableSource("bipolar construction needs a surface in S^3")
     if not mesh.orientable:
         raise NonOrientableSource("bipolar construction needs an orientable source")
-    from .extrinsic import surface_normals
-
-    N = surface_normals(mesh)
-    B = _wedge_rows(mesh.vertices, N)
+    if mesh.vertex_normals is None:
+        raise NonOrientableSource("bipolar construction needs the source's "
+                                  "vertex_normals attached; mesh files carry none")
+    B = _wedge_rows(mesh.vertices, mesh.vertex_normals)
     B /= np.linalg.norm(B, axis=1, keepdims=True)
     welded = weld_vertices(5, B, mesh.faces, tol=1e-8,
                            name="bipolar(" + (mesh.name or "mesh") + ")")

@@ -875,6 +875,29 @@ def test_tube_radius_must_be_finite_and_positive(epsilon):
         TubeField.from_flow(mesh, np.zeros(mesh.n_vertices), epsilon=epsilon)
 
 
+def test_default_step_is_half_the_stable_step():
+    mesh, _, field = _flow_field(24, 6)
+    dt = 0.5 * field.epsilon / (4.0 * _gradient_bound(field))
+    for start in (build_ensemble(field, 4, 4, 4, seed=7),
+                  ParticleEnsemble(mesh.vertices.copy(), ["vertex"] * mesh.n_vertices, [])):
+        by_default = integrate_palais_flow(field, start, 6 * dt)
+        explicit = integrate_palais_flow(field, start, 6 * dt, dt)
+        assert np.array_equal(by_default.positions, explicit.positions)
+        assert [t for t, _ in by_default.log] == [t for t, _ in explicit.log]
+        assert np.abs(by_default.positions - start.positions).max() > 0.0
+
+
+def test_default_step_without_a_factor_is_one_step_to_t_end():
+    mesh = lawson_tau(3, 1, 24, 6)
+    field = TubeField.from_flow(mesh, np.zeros(mesh.n_vertices))
+    assert _gradient_bound(field) == 0.0
+    ens = build_ensemble(field, 2, 2, 2, seed=8)
+    out = integrate_palais_flow(field, ens, 0.3)
+    assert [t for t, _ in out.log[len(ens.log):]] == [0.3]
+    assert np.array_equal(out.positions, ens.positions)
+    assert len(integrate_palais_flow(field, ens, 0.0).log) == len(ens.log)
+
+
 @pytest.mark.parametrize("t_end, dt, name", [(0.1, 0.0, "dt"), (0.1, -1e-3, "dt"),
                                              (-0.1, 1e-3, "t_end"),
                                              (np.inf, 1e-3, "t_end"),

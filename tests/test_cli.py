@@ -318,6 +318,39 @@ def test_invalid_step_inputs_exit_two_naming_the_argument(tmp_path, command,
 
 
 # ---------------------------------------------------------------------------
+# exit codes
+
+
+_NUMERIC_CLASSES = {"NonConvergence", "StalledDescent", "ClosestPointAmbiguous",
+                    "NotMinimalAtResolution", "WeldFailure", "IllConditionedFit",
+                    "InsufficientNeighborhood"}
+
+
+def test_the_error_type_decides_between_exit_two_and_three(monkeypatch, tmp_path):
+    # a failed computation exits 3, bad input exits 2, for every error the
+    # package raises
+    import inspect
+
+    from spherelab import cli, errors
+
+    classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(c, errors.SpherelabError)
+               and c not in (errors.SpherelabError, errors.NumericFailure)]
+    assert _NUMERIC_CLASSES < {c.__name__ for c in classes}
+    codes = {}
+    for cls in classes:
+        err = cls("boom", 1.0, 1) if cls is errors.StalledDescent else cls("boom")
+
+        def load_mesh(path, err=err):
+            raise err
+
+        monkeypatch.setattr(cli, "load_mesh", load_mesh)
+        codes[cls.__name__] = cli.main(["measure", "--mesh", str(tmp_path / "m.json")])
+    assert {name for name, code in codes.items() if code == 3} == _NUMERIC_CLASSES
+    assert {code for name, code in codes.items() if name not in _NUMERIC_CLASSES} == {2}
+
+
+# ---------------------------------------------------------------------------
 # table
 
 

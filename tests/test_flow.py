@@ -3,8 +3,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spherelab.errors import DegenerateTriangle, NonConvergence, TriangleViolation
+from spherelab.errors import (
+    DegenerateTriangle,
+    NonConvergence,
+    NumericFailure,
+    TriangleViolation,
+)
 from spherelab.flow import (
+    FlowTrace,
     _initial_state,
     conformal_lengths,
     flow_step,
@@ -192,6 +198,17 @@ def test_nonconvergence_carries_the_trace():
     state = exc.value.state
     assert state is not None
     assert state.curvature_dev == exc.value.trace.rows[-1]["curvature_dev"]
+
+
+def test_drifting_invariants_are_a_numeric_failure():
+    # the check runs after the flow has computed: a drift is a failed
+    # computation (exit 3), not bad input
+    rows = [{"area": 2.0, "total_scalar": 0.0}, {"area": 2.0, "total_scalar": 1e-6}]
+    with pytest.raises(NumericFailure, match="total scalar curvature drifts"):
+        FlowTrace(rows).check_invariants()
+    rows[1] = {"area": 2.0 * (1 + 1e-6), "total_scalar": 0.0}
+    with pytest.raises(NumericFailure, match="area drifts"):
+        FlowTrace(rows).check_invariants()
 
 
 def test_flow_rejects_open_meshes():

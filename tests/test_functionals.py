@@ -63,6 +63,24 @@ def test_report_constructor_rejects_broken_wiring():
                          willmore=99.0, dfun=3.0, area=1.0, euler=2)
 
 
+def test_one_induced_metric_per_measured_mesh(monkeypatch):
+    # the field carries the dual areas of the metric it measured on, so the
+    # functionals build no second one
+    from spherelab.mesh import DiscreteMetric
+
+    mesh = clifford_torus(16)
+    built = []
+    post_init = DiscreteMetric.__post_init__
+
+    def counted(metric):
+        built.append(metric.convention)
+        post_init(metric)
+
+    monkeypatch.setattr(DiscreteMetric, "__post_init__", counted)
+    evaluate_functionals(mesh, ExtrinsicField.compute(mesh))
+    assert built == ["spherical"]
+
+
 def test_field_mesh_mismatch():
     small, big = great_sphere(1), great_sphere(2)
     with pytest.raises(FieldMeshMismatch):

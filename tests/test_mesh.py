@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +303,24 @@ def test_triangle_violation_is_a_degenerate_triangle_listing_the_faces():
         M.DiscreteMetric(edges, lengths, M.EUCLIDEAN, face_edge_ids, 4)
     assert isinstance(exc.value, TriangleViolation)
     assert exc.value.faces == [1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_lengths_are_triangle_violations(bad):
+    # NaN passes both the sign test and the slack test; inf reads as an
+    # exact zero area.  Both must name their face, without an inf/inf warning.
+    edges = np.array([[0, 1], [0, 2], [1, 2], [1, 3], [2, 3]])
+    face_edge_ids = np.array([[2, 1, 0], [4, 3, 2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for convention in (M.EUCLIDEAN, M.SPHERICAL):
+            with pytest.raises(TriangleViolation) as exc:
+                M.DiscreteMetric(edges, np.array([1.0, 1.0, 1.0, 1.0, bad]),
+                                 convention, face_edge_ids, 4)
+            assert exc.value.faces == [1]
+            with pytest.raises(TriangleViolation) as exc:
+                M.DiscreteMetric(edges, np.full(5, bad), convention, face_edge_ids, 4)
+            assert exc.value.faces == [0, 1]
 
 
 def _list_reduce_slacks(L):

@@ -267,6 +267,25 @@ def test_no_iterate_is_measured_twice(monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
+def test_the_cotan_weights_read_a_flat_metric(monkeypatch):
+    # cotan_laplacian reads the flat layout of any metric, so the descent
+    # builds that layout directly and no spherical twin beside it
+    from spherelab.mesh import DiscreteMetric
+
+    prob, *_ = _xi_problem(2, 8)
+    built = []
+    post_init = DiscreteMetric.__post_init__
+
+    def counted(metric):
+        built.append(metric.convention)
+        post_init(metric)
+
+    monkeypatch.setattr(DiscreteMetric, "__post_init__", counted)
+    sol = solve_plateau(prob, tol=1e-3, max_iter=20000)
+    assert sol.iterations > 0
+    assert built == ["euclidean"] * sol.iterations
+
+
 def test_solve_count_stays_flat_under_refinement():
     # the cotan preconditioner makes the full step mesh-independent, so the
     # count must not grow like 1/h^2 when the grid is refined

@@ -297,6 +297,19 @@ def test_bipolar_rejects_bad_sources():
         bipolar(_hemi_icosahedron_s3())  # non-orientable source
 
 
+def test_bipolar_refuses_a_source_without_attached_normals(tmp_path):
+    # aggregated face normals are not the wedge's normals: on this grid they
+    # would weld twice the vertices into a non-minimal surface of rank 6
+    from spherelab.mesh import load_mesh, save_mesh
+
+    t = lawson_tau(3, 1, 32, 10, sampling="bipolar")
+    save_mesh(t, tmp_path / "t.mesh.json")
+    for bare in (SurfaceMesh(3, t.vertices, t.faces),
+                 load_mesh(tmp_path / "t.mesh.json")):
+        with pytest.raises(NonOrientableSource, match="normals"):
+            bipolar(bare)
+
+
 def test_bipolar_on_a_uniform_grid_fails_loudly():
     # a uniform tau_{3,1} grid is deck-symmetric only along the special
     # circles y = 0, pi/2, so the weld identifies those circles and nothing
