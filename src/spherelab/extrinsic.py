@@ -28,8 +28,9 @@ Two estimator routes live here, with distinct jobs:
   surfaces of the unit sphere (so minimal surfaces satisfy Delta x = -2x,
   and the sphere-tangent part of -(L x)_i / A_i is the discrete H).  This
   is :func:`mean_curvature_vector` / :func:`max_mean_curvature`: sparse
-  algebra with no per-vertex fitting, the cheap certificate the surface
-  builders check themselves against on every construction.
+  algebra with no per-vertex fitting.  Its area-weighted RMS, against the
+  mesh's longest edge, is the cheap certificate the surface builders check
+  themselves against on every construction.
 
 The discrete scalar curvature (angle defect) then has to reproduce
 ``s = 2 + |H|^2 - |alpha|^2`` up to discretisation error; closing that loop
@@ -126,6 +127,23 @@ def _mixed_voronoi_areas(mesh: SurfaceMesh, metric: DiscreteMetric) -> np.ndarra
     return np.bincount(mesh.faces.T.ravel(), mixed.T.ravel(), minlength=mesh.n_vertices)
 
 
+def _cotan_mean_curvature(mesh: SurfaceMesh):
+    """(H rows, mixed Voronoi areas A, flat induced metric) of a closed mesh.
+
+    The kernel of :func:`mean_curvature_vector`; the minimality certificate
+    of the builders reads all three from this one evaluation.
+    """
+    if not mesh.is_closed:
+        raise ValueError("mean curvature vectors are only defined for closed meshes")
+    metric = induced_metric(mesh).as_euclidean()
+    L = cotan_laplacian(mesh, metric)
+    A = _mixed_voronoi_areas(mesh, metric)
+    from .sphere import tangent_project_rows
+
+    lap = L @ mesh.vertices
+    return tangent_project_rows(mesh.vertices, -lap / A[:, None]), A, metric
+
+
 def mean_curvature_vector(mesh: SurfaceMesh) -> np.ndarray:
     """Per-vertex mean curvature vectors of the surface inside S^d.
 
@@ -136,19 +154,16 @@ def mean_curvature_vector(mesh: SurfaceMesh) -> np.ndarray:
     tangent to the sphere at the corresponding vertex.  Closed meshes only;
     the formula has no boundary correction.
     """
-    if not mesh.is_closed:
-        raise ValueError("mean curvature vectors are only defined for closed meshes")
-    metric = induced_metric(mesh).as_euclidean()
-    L = cotan_laplacian(mesh, metric)
-    A = _mixed_voronoi_areas(mesh, metric)
-    from .sphere import tangent_project_rows
-
-    lap = L @ mesh.vertices
-    return tangent_project_rows(mesh.vertices, -lap / A[:, None])
+    return _cotan_mean_curvature(mesh)[0]
 
 
 def max_mean_curvature(mesh: SurfaceMesh) -> float:
-    """max_i |H_i|: the scalar a minimal-surface builder certifies against."""
+    """max_i |H_i| of the cotan estimator.
+
+    A diagnostic only: cotan H does not converge pointwise on irregular
+    vertex stars, so the builders certify minimality by its area-weighted
+    RMS instead (``zoo._certify_minimal``).
+    """
     H = mean_curvature_vector(mesh)
     return float(np.max(np.linalg.norm(H, axis=1)))
 

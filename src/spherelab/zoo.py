@@ -3,8 +3,9 @@
 Every builder returns a validated :class:`~spherelab.mesh.SurfaceMesh` whose
 vertices are exact samples of the smooth parametrization (no smoothing, no
 optimisation), so measured quantities converge to the analytic values purely
-by refinement.  Builders of minimal surfaces self-certify by checking that
-the discrete mean curvature is small at the chosen resolution and refuse to
+by refinement.  Builders of minimal surfaces self-certify with one rule read
+off the mesh alone: the area-weighted RMS of the cotan mean curvature, over
+the mesh's longest edge h, must stay under a fixed constant; they refuse to
 return otherwise.
 
 The torus family tau_{m,k} is parametrized by
@@ -38,6 +39,7 @@ from .errors import (
     WeldFailure,
     WrongEuler,
 )
+from .extrinsic import _cotan_mean_curvature
 from .mesh import (
     SurfaceMesh,
     _edge_table,
@@ -212,10 +214,11 @@ def lawson_tau(m: int, k: int, nu: int, nv: int, sampling: str = "uniform",
     makes :func:`bipolar` weld the image exactly; it needs nu = 0 mod 4 and
     nv = 2 mod 4.
 
-    The builder measures max |H_i| and raises NotMinimalAtResolution when
-    it exceeds ``minimal_tol`` (default 60 (2 pi max(m,k) / nu)^2, a safe
-    multiple of the observed quadratic convergence) — a wrong period or
-    parity choice fails loudly here.
+    The builder certifies minimality with :func:`_certify_minimal` and
+    raises NotMinimalAtResolution when the area-weighted RMS of the cotan
+    |H| exceeds ``minimal_tol`` times the mesh's longest edge (default
+    ``_MINIMAL_RMS_PER_H``) — a wrong period or parity choice fails loudly
+    here.
     """
     _check_lawson_pair(m, k)
     both_odd = bool(m % 2 and k % 2)
@@ -252,20 +255,41 @@ def lawson_tau(m: int, k: int, nu: int, nv: int, sampling: str = "uniform",
     F = _quad_faces(nu, nv, vid, alternating=alternating)
     mesh = SurfaceMesh(3, V, F, name=f"lawson_tau({m},{k},{nu}x{nv},{sampling})",
                        vertex_normals=N)
-    _certify_minimal(mesh, h=2 * np.pi * max(m, k) / nu, tol=minimal_tol)
+    _certify_minimal(mesh, tol=minimal_tol)
     return mesh
 
 
-def _certify_minimal(mesh: SurfaceMesh, h: float, tol: float | None = None):
-    from .extrinsic import max_mean_curvature
+# Bound on RMS|H| / h, the certificate's statistic.  Measured values:
+#   tau_{3,1} 8x4, 16x4, 24x6, 32x8 ... 256x64    0.237, 0.308, 0.293, 0.268 ... 0.049
+#   tau_{2,1} / tau_{5,1} / tau_{3,2} at 16x8      0.246 / 0.274 / 0.205
+#   bipolar 16x6, 32x10 ... 128x38                 0.163, 0.130 ... 0.090
+#   Veronese levels 1 ... 5                        0.065 ... 0.080
+#   great sphere levels 0-5; Clifford 8 ... 128    <= 0.083; 0 to 1e-15
+#   bipolar from aggregated (wrong) normals,
+#     16x6, 32x10, 48x18, 64x22, 128x38            0.461, 1.349, 4.80, 7.16, 20.85
+# so 0.4 holds every minimal surface at least 1.3x under it and refuses
+# every wrong image.
+_MINIMAL_RMS_PER_H = 0.4
 
-    if tol is None:
-        tol = 60.0 * h * h
-    worst = max_mean_curvature(mesh)
-    if worst > tol:
+
+def _certify_minimal(mesh: SurfaceMesh, tol: float | None = None):
+    """Raise NotMinimalAtResolution unless RMS|H| <= tol * h.
+
+    RMS|H| weights the cotan |H_i| by the mixed Voronoi areas, and h is the
+    mesh's longest geodesic edge; ``tol`` defaults to ``_MINIMAL_RMS_PER_H``.
+    The RMS, not max |H|, because cotan H does not converge pointwise on
+    irregular vertex stars (Hildebrandt, Polthier and Wardetzky 2006;
+    Wardetzky et al. 2007): the exactly minimal Veronese surface keeps
+    max |H| near 0.067 at every level while its RMS falls with h.
+    """
+    H, A, metric = _cotan_mean_curvature(mesh)
+    tol = _MINIMAL_RMS_PER_H if tol is None else tol
+    rms = float(np.sqrt(np.sum(A * np.sum(H * H, axis=1)) / np.sum(A)))
+    h = float(np.max(metric.lengths))
+    if rms > tol * h:
         raise NotMinimalAtResolution(
-            f"{mesh.name}: max |H| = {worst:.3e} exceeds {tol:.3e}; "
-            f"refine the grid or review the parametrization")
+            f"{mesh.name}: RMS |H| = {rms:.3e} exceeds {tol:.3g} h, h = {h:.3e} "
+            f"({rms / h:.3g} h); refine the grid or review the parametrization")
 
 
 def lawson_tau_area(m: int, k: int) -> float:
@@ -410,9 +434,7 @@ def bipolar(mesh: SurfaceMesh) -> BipolarSurface:
     if not welded.is_closed:
         raise WeldFailure("bipolar weld produced a bordered mesh")
     _, rank = reduce_to_linear_span(welded.vertices)
-    h = float(np.max(np.linalg.norm(
-        mesh.vertices[mesh.edges[:, 0]] - mesh.vertices[mesh.edges[:, 1]], axis=1)))
-    _certify_minimal(welded, h=2.0 * h)
+    _certify_minimal(welded)
     return BipolarSurface(welded, rank)
 
 
@@ -446,6 +468,5 @@ def veronese_rp2(level: int) -> SurfaceMesh:
         raise WeldFailure("antipodal weld of the Veronese image failed")
     if euler_characteristic(welded) != 1:
         raise WrongEuler(f"chi = {euler_characteristic(welded)} for RP^2")
-    # icosphere edge ~ 1.1 / 2^level, stretched by sqrt(3) under the map
-    _certify_minimal(welded, h=1.9 / 2 ** level)
+    _certify_minimal(welded)
     return welded

@@ -28,7 +28,12 @@ from spherelab.zoo import (
     veronese_rp2,
     weld_vertices,
 )
-from spherelab.zoo import _lawson_psi
+from spherelab.zoo import (
+    _MINIMAL_RMS_PER_H,
+    _certify_minimal,
+    _lawson_psi,
+    _quad_faces,
+)
 
 CLIFFORD_AREA = 2 * np.pi ** 2
 TAU31_AREA = 12 * np.pi * scipy.special.ellipe(8 / 9)  # 12 pi E(2 sqrt2/3)
@@ -346,6 +351,78 @@ def test_veronese_counts_halve_under_the_antipodal_weld():
 def test_veronese_area_converges():
     errs = [abs(_area(veronese_rp2(level)) - 6 * np.pi) for level in (1, 2, 3)]
     assert errs[0] > errs[1] > errs[2]
+
+
+# ---------------------------------------------------------------------------
+# the minimality certificate
+
+
+def _wrong_normal_bipolar(nu, nv):
+    # face-aggregated normals attached in place of the analytic ones: the
+    # missing-normals refusal does not see them, and the image is not minimal
+    from spherelab.extrinsic import _aggregated_normals
+
+    t = lawson_tau(3, 1, nu, nv, "bipolar")
+    return bipolar(SurfaceMesh(3, t.vertices, t.faces,
+                               vertex_normals=_aggregated_normals(t)))
+
+
+def _flat_torus(a, n):
+    # (cos a e^{ix}, sin a e^{iy}): |H| = |cot a - tan a| everywhere
+    x = 2 * np.pi * np.arange(n) / n
+    xx, yy = (g.ravel() for g in np.meshgrid(x, x, indexing="ij"))
+    V = np.column_stack([np.cos(a) * np.cos(xx), np.cos(a) * np.sin(xx),
+                         np.sin(a) * np.cos(yy), np.sin(a) * np.sin(yy)])
+    F = _quad_faces(n, n, lambda i, j: (i % n) * n + j % n)
+    return SurfaceMesh(3, V, F, name=f"flat_torus({a},{n})")
+
+
+def test_certificate_refuses_wrong_surfaces():
+    for nu, nv in [(32, 10), (64, 22), (128, 38)]:
+        with pytest.raises(NotMinimalAtResolution):
+            _wrong_normal_bipolar(nu, nv)
+    for n in (16, 64):
+        with pytest.raises(NotMinimalAtResolution):
+            _certify_minimal(_flat_torus(0.6, n))
+
+
+def test_certificate_accepts_exact_minimal_surfaces(tmp_path):
+    from spherelab import cli
+
+    assert veronese_rp2(6).n_faces == 20 * 4 ** 6 // 2
+    out = tmp_path / "veronese6.mesh.json"
+    assert cli.main(["build", "veronese", "--level", "6", "-o", str(out)]) == 0
+    assert out.exists()
+    errs = [abs(_area(veronese_rp2(level)) - 6 * np.pi) for level in (4, 5, 6)]
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 1.9), orders
+
+
+def test_certificate_margin_and_metric_count(monkeypatch):
+    # the coarsest minimal grids the suite builds pass with 20 % to spare
+    tight = 0.8 * _MINIMAL_RMS_PER_H
+    for mesh in (lawson_tau(3, 1, 8, 4), lawson_tau(3, 1, 16, 4),
+                 lawson_tau(5, 1, 16, 8),
+                 bipolar(lawson_tau(3, 1, 16, 6, "bipolar")).mesh,
+                 veronese_rp2(1)):
+        _certify_minimal(mesh, tol=tight)
+    # the certificate reads the metric mean_curvature_vector builds anyway:
+    # one spherical induced metric and its flat twin per certified mesh
+    from spherelab.mesh import DiscreteMetric
+
+    calls = []
+    post_init = DiscreteMetric.__post_init__
+
+    def counted(self):
+        calls.append(self.convention)
+        post_init(self)
+
+    monkeypatch.setattr(DiscreteMetric, "__post_init__", counted)
+    lawson_tau(3, 1, 24, 6)
+    assert len(calls) == 2
+    calls.clear()
+    bipolar(lawson_tau(3, 1, 32, 10, "bipolar"))
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,8 @@ run ambient_tau24_seed5 ambient --mesh tau24.mesh.json --t-end 0.25 --seed 5 \
 run_code flow_budget flow --mesh tau31.mesh.json --tol 1e-12 --max-steps 5 \
     -o tau31_budget.trace.csv
 run_code bipolar_tau31 build bipolar --nu 32 --nv 10 -o bipolar.mesh.json
+# exactly minimal, though its cotan max |H| stays near 0.067 at every level
+run_code build_veronese6 build veronese --level 6 -o veronese6.mesh.json
 run_code flow_no_steps flow --mesh clifford.mesh.json --max-steps 0 \
     -o clifford_no_steps.trace.csv
 run_code ambient_negative_dt ambient --mesh tau24.mesh.json --t-end 0.1 \
