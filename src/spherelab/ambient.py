@@ -21,12 +21,13 @@ faces (radial projections of the flat faces onto the sphere), because the
 exact flow of a surface point moves along the great 2-sphere spanned by
 its face, never along the chordal triangle.
 
-Closest faces come from a k-d tree over face centroids.  The k nearest
+Closest faces come from two candidate sources, and one evaluator ranks
+either kind.  The first is a k-d tree over face centroids: the k nearest
 centroids of x0 certify its closest face when cd_k(x0), the k-th centroid
 distance, exceeds d_best(x0) + max_spread (the largest centroid-to-vertex
 distance of any face), since every other face lies at least cd_k - max_spread
-away.  The integrator keeps each particle's certificate across RK4 stages
-and steps: a point x with
+away.  The second is the record of those certificates, which the integrator
+keeps across RK4 stages and steps: a point x with
 
     |x - x0| + margin < delta = (cd_k(x0) - max_spread - d_best(x0)) / 2
 
@@ -75,7 +76,10 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ClosestPointAmbiguous, StepTooLarge
-from .mesh import SurfaceMesh, induced_metric, vertex_dual_areas
+from .extrinsic import (_area_weighted_median, max_mean_curvature,
+                        second_fundamental_norm)
+from .flow import conformal_lengths
+from .mesh import SurfaceMesh, VertexField, induced_metric, vertex_dual_areas
 from .sphere import AmbientPoint, TangentVector, geodesic_distances
 
 __all__ = [
@@ -253,10 +257,11 @@ def _closest_faces(cache: _FaceCache, X: np.ndarray,
     """Exact closest face per query point, and the runner-up among candidates.
 
     Returns (face, closest point, barycentric, distance, runner-up distance,
-    runner-up barycentric, runner-up face).  Candidates come from the
-    centroid tree (k = 32, then 4k until certified) or, with ``_record``,
-    from the row's last certificate (module docstring), and every new
-    certificate refreshes its row.
+    runner-up barycentric, runner-up face).  A row within the slack of its
+    ``_record`` row reads the recorded faces that can still win (module
+    docstring); every other row asks the centroid tree (k = 32, then 4k until
+    certified), and each new certificate refreshes its row.  Both candidate
+    sources feed ``_best_candidates``.
     """
     n = len(X)
     if not n:
@@ -264,82 +269,74 @@ def _closest_faces(cache: _FaceCache, X: np.ndarray,
     rec = _CandidateRecord(*X.shape) if _record is None else _record
     D = X - rec.anchor
     drift = np.sqrt(np.add.reduce(D * D, axis=1)) + _REUSE_MARGIN
-    rows, out, k = np.arange(n), None, 32
-    while len(rows):
-        # rows within their slack take their recorded candidates; a row left
-        # for a later round kept the record that sent it to the tree
-        query = ~(drift[rows] < rec.slack[rows])
-        asked = rows[query]
-        if len(asked):
-            k_eff, w = min(k, cache.n_faces), rec.faces.shape[1]
-            kept = rows[~query]
-            cand = np.zeros((len(rows), max(k_eff, w)), dtype=np.int64)
-            keep = np.zeros(cand.shape, dtype=bool)
-            cand[~query, :w] = rec.faces[kept]
-            keep[~query, :w] = rec.lower[kept] <= \
-                (rec.reach + 2.0 * drift)[kept, None]
-            cd, ci = cache.tree.query(X[asked], k=k_eff)
-            cd, ci = cd.reshape(-1, k_eff), ci.reshape(-1, k_eff)
-            # in face order the first of exactly tied distances is the same
-            # in every candidate set that holds them, reused or fresh
-            ci = np.take_along_axis(ci, np.argsort(ci, axis=1), axis=1)
-            cand[query, :k_eff] = ci
-            keep[query, :k_eff] = True
-        else:
-            cand = rec.faces[rows]
-            keep = rec.lower[rows] <= (rec.reach + 2.0 * drift)[rows, None]
-        # one triangle test per kept (point, candidate) pair
-        rr, cc = np.nonzero(keep)
-        P = X[rows[rr]]
-        F = cand[rr, cc]
-        cp, bary = _closest_on_triangles(P, cache.v0[F], cache.ab[F],
-                                         cache.ac[F])
-        D = P - cp
-        dist = np.full(keep.shape, np.inf)
-        dist[rr, cc] = np.sqrt(np.add.reduce(D * D, axis=1))
-        flat = np.zeros(keep.shape, dtype=np.int64)
-        flat[rr, cc] = np.arange(len(rr))
-        local = np.arange(len(rows))
-        best = np.argmin(dist, axis=1)
-        d_best = dist[local, best]
-        if len(asked):
-            # every candidate's distance, for the record, before the best
-            # is masked out
-            exact = dist[query, :k_eff]
-        dist[local, best] = np.inf
-        second = np.argmin(dist, axis=1)
-        d_second = dist[local, second]
-        certified = np.ones(len(rows), dtype=bool)
-        if len(asked):
-            if k_eff < cache.n_faces:
-                certified[query] = cd[:, -1] > d_best[query] + cache.max_spread
-            new = certified[query]
-            slot, d0 = asked[new], d_best[query][new]
-            if k_eff > w:
-                pad = ((0, 0), (0, k_eff - w))
-                rec.faces = np.pad(rec.faces, pad)
-                rec.lower = np.pad(rec.lower, pad, constant_values=np.inf)
-            rec.anchor[slot] = X[slot]
-            rec.faces[slot, :k_eff] = ci[new]
-            rec.lower[slot] = np.inf
-            rec.lower[slot, :k_eff] = exact[new]
-            rec.reach[slot] = np.maximum(d_second[query][new],
-                                         d0 + _AMBIGUITY_DIST)
-            rec.slack[slot] = np.inf if k_eff == cache.n_faces else \
-                0.5 * (cd[new, -1] - cache.max_spread - d0)
-
-        fb, fs = flat[local, best], flat[local, second]
-        found = (cand[local, best], cp[fb], bary[fb], d_best, d_second,
-                 bary[fs], cand[local, second])
-        if out is None:
-            if certified.all():
-                return found
-            out = _no_answers(n, X.shape[1])
+    reuse = drift < rec.slack
+    keep = rec.lower <= (rec.reach + 2.0 * drift)[:, None]
+    if reuse.all():
+        return _best_candidates(cache, X, rec.faces, keep)[0]
+    out = _no_answers(n, X.shape[1])
+    if reuse.any():
+        found, _ = _best_candidates(cache, X[reuse], rec.faces[reuse],
+                                    keep[reuse])
         for o, a in zip(out, found):
-            o[rows[certified]] = a[certified]
-        rows = rows[~certified]
-        k *= 4
+            o[reuse] = a
+    rows, k = np.flatnonzero(~reuse), 32
+    while len(rows):
+        k_eff = min(k, cache.n_faces)
+        cd, ci = cache.tree.query(X[rows], k=k_eff)
+        cd, ci = cd.reshape(-1, k_eff), ci.reshape(-1, k_eff)
+        # in face order the first of exactly tied distances is the same in
+        # every candidate set that holds them, reused or fresh
+        ci = np.take_along_axis(ci, np.argsort(ci, axis=1), axis=1)
+        found, exact = _best_candidates(cache, X[rows], ci,
+                                        np.ones(ci.shape, dtype=bool))
+        d_best = found[3]
+        full = k_eff == cache.n_faces
+        done = full | (cd[:, -1] > d_best + cache.max_spread)
+        slot, d0 = rows[done], d_best[done]
+        if k_eff > rec.faces.shape[1]:
+            pad = ((0, 0), (0, k_eff - rec.faces.shape[1]))
+            rec.faces = np.pad(rec.faces, pad)
+            rec.lower = np.pad(rec.lower, pad, constant_values=np.inf)
+        rec.anchor[slot] = X[slot]
+        rec.faces[slot, :k_eff] = ci[done]
+        rec.lower[slot] = np.inf
+        rec.lower[slot, :k_eff] = exact[done]
+        rec.reach[slot] = np.maximum(found[4][done], d0 + _AMBIGUITY_DIST)
+        rec.slack[slot] = np.inf if full else \
+            0.5 * (cd[done, -1] - cache.max_spread - d0)
+        for o, a in zip(out, found):
+            o[slot] = a[done]
+        rows, k = rows[~done], 4 * k
     return out
+
+
+def _best_candidates(cache: _FaceCache, X: np.ndarray, cand: np.ndarray,
+                     keep: np.ndarray):
+    """Best and runner-up among the kept faces ``cand[i][keep[i]]`` of X[i].
+
+    One triangle test per kept (point, face) pair; of exactly tied distances
+    the earlier column wins.  Returns the seven answers of ``_closest_faces``
+    and every candidate's exact distance (inf where not kept).
+    """
+    rr, cc = np.nonzero(keep)
+    P = X[rr]
+    F = cand[rr, cc]
+    cp, bary = _closest_on_triangles(P, cache.v0[F], cache.ab[F], cache.ac[F])
+    D = P - cp
+    dist = np.full(keep.shape, np.inf)
+    dist[rr, cc] = np.sqrt(np.add.reduce(D * D, axis=1))
+    flat = np.zeros(keep.shape, dtype=np.int64)
+    flat[rr, cc] = np.arange(len(rr))
+    local = np.arange(len(X))
+    best = np.argmin(dist, axis=1)
+    d_best = dist[local, best]
+    dist[local, best] = np.inf
+    second = np.argmin(dist, axis=1)
+    d_second = dist[local, second]
+    dist[local, best] = d_best
+    fb, fs = flat[local, best], flat[local, second]
+    return (cand[local, best], cp[fb], bary[fb], d_best, d_second, bary[fs],
+            cand[local, second]), dist
 
 
 def _no_answers(n: int, dim: int):
@@ -388,8 +385,6 @@ class TubeField:
         min_i 1 / |alpha_i| of the surface.
         """
         if epsilon is None:
-            from .extrinsic import second_fundamental_norm
-
             alpha = second_fundamental_norm(mesh).values
             epsilon = 0.5 / np.sqrt(max(float(np.max(alpha)), 1e-12))
         schedule = ((0.0, np.zeros(mesh.n_vertices)),
@@ -512,9 +507,15 @@ class ParticleEnsemble:
     log: list
 
     def __post_init__(self):
+        n = len(self.positions)
+        if not n or len(self.tags) != n:
+            raise ValueError(f"{len(self.tags)} tags for {n} particles: "
+                             f"an ensemble needs one tag per particle and "
+                             f"at least one particle")
         norms = np.linalg.norm(self.positions, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-8:
-            raise ValueError("particles must sit on the unit sphere")
+        off = np.count_nonzero(~(np.abs(norms - 1.0) <= 1e-8))
+        if off:
+            raise ValueError(f"{off} of {n} particles are off the unit sphere")
 
 
 def build_ensemble(field: TubeField, n_surface: int = 20, n_tube: int = 20,
@@ -719,8 +720,6 @@ def conformality_residual(field: TubeField, flowed_vertices: np.ndarray,
     mismatch e^c - 1, the control case separating particle transport from
     the pullback-metric statement.
     """
-    from .extrinsic import _area_weighted_median, max_mean_curvature
-
     mesh = field.source_mesh
     g = induced_metric(mesh)
     i, j = mesh.edges[:, 0], mesh.edges[:, 1]
@@ -769,9 +768,6 @@ def area_preservation_residual(mesh: SurfaceMesh, u: np.ndarray) -> float:
     integral identity collapses to an exact area comparison; for factors
     coming out of the area-preserving flow this is machine zero.
     """
-    from .flow import conformal_lengths
-    from .mesh import VertexField
-
     base = induced_metric(mesh).as_euclidean()
     scaled = conformal_lengths(base, VertexField(np.asarray(u, dtype=float)))
     a0 = float(np.sum(base.areas))

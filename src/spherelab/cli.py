@@ -33,7 +33,8 @@ from .ambient import (
 from .errors import NonConvergence, NumericFailure, SpherelabError
 from .extrinsic import ExtrinsicField
 from .flow import run_uniformization, trace_csv
-from .functionals import evaluate_functionals, functional_csv, sigma_of_class
+from .functionals import (evaluate_functionals, functional_csv, sigma_of_class,
+                          willmore_bound_table)
 from .mesh import euler_characteristic, load_mesh, save_mesh
 from .plateau import build_xi
 from .zoo import bipolar, clifford_torus, great_sphere, lawson_tau, veronese_rp2
@@ -180,7 +181,6 @@ def cmd_ambient(args) -> int:
 
 
 def cmd_table(args) -> int:
-    from .functionals import willmore_bound_table
     rows = []
     for path in args.meshes:
         mesh = load_mesh(path)

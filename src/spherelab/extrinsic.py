@@ -61,6 +61,7 @@ from .mesh import (
     induced_metric,
     vertex_dual_areas,
 )
+from .sphere import tangent_project_rows
 
 __all__ = [
     "cotan_laplacian",
@@ -138,8 +139,6 @@ def _cotan_mean_curvature(mesh: SurfaceMesh):
     metric = induced_metric(mesh).as_euclidean()
     L = cotan_laplacian(mesh, metric)
     A = _mixed_voronoi_areas(mesh, metric)
-    from .sphere import tangent_project_rows
-
     lap = L @ mesh.vertices
     return tangent_project_rows(mesh.vertices, -lap / A[:, None]), A, metric
 
@@ -203,8 +202,6 @@ def _aggregated_normals(mesh: SurfaceMesh) -> np.ndarray:
         for k in range(4):
             for c in range(3):
                 acc[:, k] += np.bincount(f[:, c], n_face[:, k], minlength=n)
-    from .sphere import tangent_project_rows
-
     acc = tangent_project_rows(X, acc)
     norms = np.linalg.norm(acc, axis=1, keepdims=True)
     if np.any(norms <= 1e-14):

@@ -47,6 +47,7 @@ from .errors import (
     MeshInvariantError,
     TriangleViolation,
 )
+from .sphere import geodesic_distances
 
 __all__ = [
     "SurfaceMesh",
@@ -423,8 +424,6 @@ def _check_pair(mesh: SurfaceMesh, metric: DiscreteMetric):
 
 def induced_metric(mesh: SurfaceMesh) -> DiscreteMetric:
     """Geodesic edge lengths pulled back from the ambient sphere."""
-    from .sphere import geodesic_distances
-
     p = mesh.vertices[mesh.edges[:, 0]]
     q = mesh.vertices[mesh.edges[:, 1]]
     lengths = geodesic_distances(p, q)

@@ -1,5 +1,6 @@
 """Tube-field extension and the ambient particle flow."""
 
+import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -229,6 +230,58 @@ def test_pruning_keeps_the_runner_up_of_a_reused_set():
     assert abs(dist[0] - d_all[0]) < 1e-12
     assert abs(dist2[0] - d_all[1]) < 1e-12
     assert abs(dist2[0] - (1.3 + s - tiny)) < 1e-12
+
+
+def test_a_batch_answers_each_row_as_that_row_alone(monkeypatch):
+    # One batch mixes rows within the slack of their record, rows moved
+    # beyond it, and a row without a record whose 32 nearest centroids do
+    # not certify its closest face, but whose 128 nearest do.  Each row's
+    # answers and record row must be those it gets alone with its own
+    # record, so that a batch may hold any mix of rows.
+    cache = _FaceCache(lawson_tau(3, 1, 24, 6))
+    rng = np.random.default_rng(0)
+
+    def sphere_points(n):
+        X = rng.standard_normal((n, 4))
+        return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+    def certifies(x, k):
+        cd, _ = cache.tree.query(x, k=k)
+        return cd[-1] > _all_face_distances(cache, x).min() + cache.max_spread
+
+    late = next(x for x in sphere_points(100)
+                if not certifies(x, 32) and certifies(x, 128))
+    X0 = np.insert(sphere_points(8), 4, late, axis=0)
+    rec = _CandidateRecord(*X0.shape)
+    _closest_faces(cache, X0, rec)
+    rec.slack[4] = -np.inf
+    # rows 0, 2, 5, 7 move within their slack, rows 1, 3, 6, 8 beyond it
+    reused = np.array([1, 0, 1, 0, 0, 1, 0, 1, 0], dtype=bool)
+    scale = np.where(reused, 0.5, 1.5) * np.maximum(rec.slack, 0.0)
+    X = X0 + scale[:, None] * sphere_points(9)
+    alone = [copy.copy(rec) for _ in range(9)]
+    for i, row in enumerate(alone):
+        row.keep([i])
+    tree, asked = cache.tree, []
+    monkeypatch.setattr(cache, "tree", SimpleNamespace(
+        query=lambda Y, k: asked.append((k, len(Y))) or tree.query(Y, k=k)))
+    batch = _closest_faces(cache, X, rec)
+    assert asked == [(32, 5), (128, 1)]
+    assert np.array_equal(rec.anchor[reused], X0[reused])
+    assert np.array_equal(rec.anchor[~reused], X[~reused])
+    for i, row in enumerate(alone):
+        answers = _closest_faces(cache, X[i:i + 1], row)
+        for a, b in zip(batch, answers):
+            assert a[i:i + 1].tobytes() == b.tobytes(), f"row {i}"
+        for name in ("anchor", "faces", "lower", "reach", "slack"):
+            assert getattr(rec, name)[i:i + 1].tobytes() == \
+                getattr(row, name).tobytes(), f"row {i} {name}"
+
+    calls = []
+    monkeypatch.setattr(ambient, "_closest_on_triangles",
+                        lambda *args: calls.append(args))
+    empty = _closest_faces(cache, np.empty((0, 4)), _CandidateRecord(0, 4))
+    assert calls == [] and all(len(a) == 0 for a in empty)
 
 
 def test_gradient_is_exact_derivative_of_value():
@@ -907,3 +960,14 @@ def test_integration_refuses_nonpositive_dt_and_negative_t_end(t_end, dt, name):
     ens = build_ensemble(field, 2, 2, 0, seed=8)
     with pytest.raises(ValueError, match=f"^{name} ="):
         integrate_palais_flow(field, ens, t_end, dt)
+
+
+@pytest.mark.parametrize("positions, tags, message", [
+    (np.eye(4)[:3], ["a"], "1 tags for 3 particles"),
+    (np.array([[1.0, 0, 0, 0], [0, np.nan, 0, 0], [0, 0, 1, 0]]), ["a"] * 3,
+     "1 of 3 particles are off the unit sphere"),
+    (np.empty((0, 4)), [], "0 tags for 0 particles"),
+], ids=["tag_count", "nan_row", "empty"])
+def test_an_ensemble_refuses_malformed_rows(positions, tags, message):
+    with pytest.raises(ValueError, match=message):
+        ParticleEnsemble(positions, tags, [])

@@ -54,6 +54,8 @@ run flow_tau31 flow --mesh tau31.mesh.json -o tau31.trace.csv
 run flow_veronese flow --mesh veronese.mesh.json -o veronese.trace.csv
 # the paper's deformation: a chi < 0 Lawson surface to s_bar = 4 pi chi / a < 0
 run flow_xi21 flow --mesh xi21.mesh.json -o xi21.trace.csv
+# its tube field on the paper's embedded genus-2 surface, which has no sheet ties
+run ambient_xi21 ambient --mesh xi21.mesh.json --t-end 0.1 --out-dir ambient_xi21
 run ambient_tau24 ambient --mesh tau24.mesh.json --t-end 0.1 --out-dir ambient
 # the benchmark's horizon on a seed whose surface particles leave the surface
 run ambient_tau24_seed5 ambient --mesh tau24.mesh.json --t-end 0.25 --seed 5 \
