@@ -106,6 +106,9 @@ _OUTSIDE_ROUNDS = 1000
 def _bump(rho: np.ndarray, eps: float):
     """Quintic cutoff: (value, d/d rho); 1 on [0, eps], 0 on [2 eps, inf)."""
     rho = np.asarray(rho, dtype=float)
+    if (rho <= eps).all():
+        # s is +0.0 in every row, where the formulas give exactly 1 and -0.0
+        return np.ones_like(rho), np.full_like(rho, -0.0)
     s = np.minimum(np.maximum((rho - eps) / eps, 0.0), 1.0)
     value = 1.0 - (10 * s ** 3 - 15 * s ** 4 + 6 * s ** 5)
     slope = -30.0 * s ** 2 * (1.0 - s) ** 2 / eps
@@ -425,21 +428,19 @@ def _field_batch(field: TubeField, X: np.ndarray, t: float,
 
     The gradient is the exact derivative of the implemented value: the
     closest-point map contributes the face (or edge) Jacobian, the cutoff
-    contributes its radial term, and the result is projected tangent to the
-    sphere at each query point.  Points at distance 2 epsilon or more get
-    exact zeros; so do the gradients of the other rows ``_never_moves``
-    certifies.  ``_record`` is passed on to ``_closest_faces``.
+    contributes its radial term (zero on the surface), and the result is
+    projected tangent to the sphere at each query point.  Every row takes
+    one path.  Points at distance 2 epsilon or more get exact zeros; so do
+    the gradients of the other rows ``_never_moves`` certifies.  ``_record``
+    is passed on to ``_closest_faces``.
     """
     cache, eps = field._cache, field.epsilon
-    nearest = _closest_faces(cache, X, _record=_record)
-    live = nearest[3] < 2.0 * eps
-    every = live.all()
-    Xl = X if every else X[live]
-    fi, cp, bary, dist, dist2, bary2, fi2 = \
-        nearest if every else (a[live] for a in nearest)
+    fi, cp, bary, dist, dist2, bary2, fi2 = _closest_faces(cache, X, _record)
+    live = dist < 2.0 * eps
 
     u = field.u_at(t)
     tie = _sheet_ties(cache, fi, dist, dist2, fi2)
+    tie = tie[live[tie]]  # the rows inside the support, in row order
     if len(tie):
         fa, fb = cache.faces[fi[tie]], cache.faces[fi2[tie]]
         gap = np.abs(np.sum(bary[tie] * u[fa], axis=1)
@@ -460,22 +461,13 @@ def _field_batch(field: TubeField, X: np.ndarray, t: float,
     g = np.einsum("nij,nj->ni", cache.jacobian[fi, _feature_code(bary)],
                   U[:, 1:] - U[:, :1])
 
-    off = dist > 0
-    if off.all():
-        radial = (Xl - cp) * (dB / dist)[:, None] * u_cp[:, None]
-    else:
-        radial = np.zeros_like(Xl)
-        radial[off] = (Xl[off] - cp[off]) * (dB[off] / dist[off])[:, None] * \
-            u_cp[off][:, None]
-    total = B[:, None] * g + radial
+    radial = np.divide(dB, dist, out=np.zeros_like(dist), where=dist > 0)
+    total = B[:, None] * g + (X - cp) * radial[:, None] * u_cp[:, None]
     # sphere-tangent projection at the query points
-    total -= np.sum(total * Xl, axis=1)[:, None] * Xl
-    if every:
-        return vals, total
-    values, grads = np.zeros(len(X)), np.zeros_like(X)
-    values[live] = vals
-    grads[live] = total
-    return values, grads
+    total -= np.sum(total * X, axis=1)[:, None] * X
+    vals[~live] = 0.0
+    total[~live] = 0.0
+    return vals, total
 
 
 def _never_moves(field: TubeField, X: np.ndarray, rec: _CandidateRecord):

@@ -161,9 +161,8 @@ def cmd_ambient(args) -> int:
                                      t_end=args.t_end, dt=dt)
     carrier = ParticleEnsemble(mesh.vertices.copy(), ["vertex"] * mesh.n_vertices, [])
     carrier = integrate_palais_flow(field, carrier, t_end=args.t_end, dt=dt)
-    on_surface = [p for p, t in zip(ensemble.positions, ensemble.tags)
-                  if t == "on_surface"]
-    fixing = float(np.max(curved_surface_distance(field, np.array(on_surface))))
+    on_surface = ensemble.positions[np.array(ensemble.tags) == "on_surface"]
+    fixing = float(np.max(curved_surface_distance(field, on_surface)))
     report = conformality_residual(field, carrier.positions, u,
                                    surface_fixing_error=fixing)
 

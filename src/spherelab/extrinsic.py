@@ -57,7 +57,7 @@ from .mesh import (
     DiscreteMetric,
     SurfaceMesh,
     VertexField,
-    angle_defect_curvature,
+    _curvature,
     induced_metric,
     vertex_dual_areas,
 )
@@ -437,12 +437,13 @@ class ExtrinsicField:
     @classmethod
     def compute(cls, mesh: SurfaceMesh) -> "ExtrinsicField":
         g = induced_metric(mesh)
-        s = angle_defect_curvature(mesh, g).values
+        dual = vertex_dual_areas(mesh, g).values
+        s = _curvature(mesh, g, dual)
         alpha_sq, H = _quadric_scan(mesh)
         alpha_sq = np.maximum(alpha_sq, 0.0)
         h2 = np.sum(H * H, axis=1)
         res = s - (2.0 + h2 - alpha_sq)
-        return cls(H, alpha_sq, s, res, vertex_dual_areas(mesh, g).values)
+        return cls(H, alpha_sq, s, res, dual)
 
     def check_invariants(self, mesh: SurfaceMesh):
         dots = np.abs(np.sum(self.mean_curvature * mesh.vertices, axis=1))

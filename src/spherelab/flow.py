@@ -37,7 +37,7 @@ from .mesh import (
     EUCLIDEAN,
     SurfaceMesh,
     VertexField,
-    angle_defect_curvature,
+    _curvature,
     euler_characteristic,
     induced_metric,
     vertex_dual_areas,
@@ -55,10 +55,10 @@ __all__ = [
 @dataclass(frozen=True)
 class FlowState:
     """One instant of the flow; ``s`` and ``dual`` are the curvature and
-    dual areas of ``metric``, the diagnostics measure s against the target."""
+    dual areas of the metric of ``u``, the diagnostics measure s against the
+    target."""
 
     u: VertexField
-    metric: DiscreteMetric
     time: float
     area: float
     curvature_dev: float
@@ -103,8 +103,8 @@ def _evaluated(mesh: SurfaceMesh, u: np.ndarray, metric: DiscreteMetric,
                time: float, area: float, target: float) -> FlowState:
     """The state at factors u: the one curvature evaluation of ``metric``."""
     A = vertex_dual_areas(mesh, metric).values
-    s = angle_defect_curvature(mesh, metric).values
-    return FlowState(VertexField(u), metric, time, area,
+    s = _curvature(mesh, metric, A)
+    return FlowState(VertexField(u), time, area,
                      float(np.max(np.abs(s - target))),
                      float(np.sum((s - target) ** 2 * A)), s, A)
 

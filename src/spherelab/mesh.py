@@ -474,15 +474,19 @@ def angle_defect_curvature(mesh: SurfaceMesh, metric: DiscreteMetric) -> VertexF
     Interior vertices use the 2*pi defect; boundary vertices (Plateau
     patches) use pi.
     """
-    _check_pair(mesh, metric)
+    return VertexField(_curvature(mesh, metric,
+                                  vertex_dual_areas(mesh, metric).values))
+
+
+def _curvature(mesh: SurfaceMesh, metric: DiscreteMetric,
+               dual: np.ndarray) -> np.ndarray:
+    """``angle_defect_curvature`` values from the metric's dual areas, for
+    callers that already hold them."""
     angle_sum = np.bincount(mesh.faces.ravel(), metric.angles.ravel(),
                             minlength=mesh.n_vertices)
     full = np.where(mesh.boundary_vertex_mask, np.pi, 2.0 * np.pi)
-    defect = full - angle_sum
-    s = 2.0 * defect / vertex_dual_areas(mesh, metric).values
-    if metric.convention == SPHERICAL:
-        s = s + 2.0
-    return VertexField(s)
+    s = 2.0 * (full - angle_sum) / dual
+    return s + 2.0 if metric.convention == SPHERICAL else s
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +535,45 @@ def save_mesh(mesh: SurfaceMesh, path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
+def _listed(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"mesh field {field!r} must be a list, not "
+                         f"{type(value).__name__}")
+    return value
+
+
+def _array(value, field: str, integer: bool) -> np.ndarray:
+    """A list field as an array of integers or of numbers; a plain int64
+    cast would read a face index 2.5 as 2."""
+    a = np.array(_listed(value, field))
+    if a.size and a.dtype.kind not in ("iu" if integer else "iuf"):
+        raise ValueError(f"mesh field {field!r} must hold "
+                         f"{'integers' if integer else 'numbers'}, not {a.dtype}")
+    return a
+
+
 def load_mesh(path) -> SurfaceMesh:
+    """Read a ``save_mesh`` file.  Raises ValueError naming the field when
+    the document is not a JSON object, ``dimension`` is not an integer,
+    ``orientable`` not a boolean, ``vertices`` not a list of numbers, or
+    ``faces`` or a boundary loop not a list of integer indices."""
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"a mesh file holds a JSON object, not "
+                         f"{type(doc).__name__}")
+    dim, orientable = doc["dimension"], doc.get("orientable", True)
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ValueError(f"mesh field 'dimension' must be an integer, not "
+                         f"{type(dim).__name__}")
+    if not isinstance(orientable, bool):
+        raise ValueError(f"mesh field 'orientable' must be true or false, not "
+                         f"{type(orientable).__name__}")
     return SurfaceMesh(
-        dimension=doc["dimension"],
-        vertices=np.array(doc["vertices"], dtype=float),
-        faces=np.array(doc["faces"], dtype=np.int64),
-        boundary_loops=doc.get("boundary_loops", []),
-        orientable=doc.get("orientable", True),
+        dimension=dim,
+        vertices=_array(doc["vertices"], "vertices", integer=False),
+        faces=_array(doc["faces"], "faces", integer=True),
+        boundary_loops=[_array(loop, "boundary_loops", integer=True) for loop
+                        in _listed(doc.get("boundary_loops", []), "boundary_loops")],
+        orientable=orientable,
         name=doc.get("name", ""),
     )

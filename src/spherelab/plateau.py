@@ -452,20 +452,31 @@ def lawson_xi_quadrilateral(k: int):
 
 
 def load_plateau_problem(config) -> tuple:
-    """Build a PlateauProblem from a JSON config (path, dict, or file object).
+    """Build a PlateauProblem from a JSON config (path or dict).
 
     Fields: ``boundary_vertices`` (corner coordinates, one quadrilateral),
     ``generators`` (one orthogonal matrix per arc), ``expected_genus``,
     ``tol``, ``max_iter``; optional ``resolution`` (grid density of the
     initial disk, default 12), ``name`` and a free-text ``note``.  Returns
-    the problem together with the parsed config dict.
+    the problem together with the parsed config dict.  Raises ValueError
+    naming the field when the config is not a JSON object or a field is not
+    of its kind.
     """
-    if isinstance(config, (str, Path)):
-        cfg = json.loads(Path(config).read_text())
-    elif isinstance(config, dict):
-        cfg = config
-    else:
-        cfg = json.load(config)
+    cfg = json.loads(Path(config).read_text()) \
+        if isinstance(config, (str, Path)) else config
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a Plateau config is a JSON object, not "
+                         f"{type(cfg).__name__}")
+    for key, kind, what in (("boundary_vertices", list, "a list"),
+                            ("generators", list, "a list"),
+                            ("tol", (int, float), "a number"),
+                            ("max_iter", int, "an integer"),
+                            ("expected_genus", int, "an integer"),
+                            ("resolution", int, "an integer")):
+        value = cfg.get(key)
+        if key in cfg and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ValueError(f"config field {key!r} must be {what}, not "
+                             f"{type(value).__name__}")
     corners = np.asarray(cfg["boundary_vertices"], dtype=float)
     gens = tuple(SphereIsometry(np.asarray(m, dtype=float)) for m in cfg["generators"])
     disk = quadrilateral_disk(corners, int(cfg.get("resolution", 12)),

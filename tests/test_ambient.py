@@ -60,6 +60,10 @@ def test_bump_profile_plateau_support_and_slope():
     assert np.all(dB[inner] == 0.0)
     assert np.all(B[outer] == 0.0)
     assert np.all(dB[outer] == 0.0)
+    # a call with every rho inside eps gives the formula's bits, 1 and -0.0
+    Bi, dBi = _bump(rho[inner], eps)
+    assert Bi.tobytes() == B[inner].tobytes()
+    assert dBi.tobytes() == dB[inner].tobytes()
     mid = ~inner & ~outer
     assert np.all(np.diff(B[mid]) < 0), "cutoff must decrease across the shell"
     # analytic extremum of the quintic: 1.875 / eps at the shell midpoint
@@ -331,6 +335,32 @@ def test_field_vanishes_identically_beyond_outer_shell():
     vals, grads = _field_batch(field, np.array(far), 0.9)
     assert np.all(vals == 0.0)
     assert np.all(grads == 0.0)
+
+
+def test_each_row_of_a_mixed_batch_is_the_row_evaluated_alone():
+    # beyond the support, exactly on a mesh vertex, in the shell
+    # eps < d < 2 eps and inside the inner tube, all in one batch
+    mesh, _, field = _torus_field()
+    eps = field.epsilon
+    ens = build_ensemble(field, 2, 4, 3, seed=1)
+    at = [5, 40, 77, 300]
+    delta = np.array([0.5, 1.3, 1.7, 0.0])[:, None] * eps
+    lifted = (np.cos(delta) * mesh.vertices[at]
+              + np.sin(delta) * mesh.vertex_normals[at])
+    X = np.vstack([ens.positions, lifted])
+    X = X[np.random.default_rng(0).permutation(len(X))]
+    d = _closest_faces(field._cache, X)[3]
+    far = d >= 2 * eps
+    for kind in (d == 0, (d > 0) & (d <= eps), (d > eps) & ~far, far):
+        assert kind.any()
+    vals, grads = _field_batch(field, X, 0.7)
+    for i, x in enumerate(X):
+        v, g = _field_batch(field, x[None], 0.7)
+        assert v.tobytes() == vals[i:i + 1].tobytes()
+        assert g.tobytes() == grads[i:i + 1].tobytes()
+    assert np.isfinite(grads).all() and not grads[d == 0].any()
+    assert vals[far].tobytes() == np.zeros(far.sum()).tobytes()
+    assert grads[far].tobytes() == np.zeros((far.sum(), 4)).tobytes()
 
 
 def _reference_rk4(field, X, t_end, dt):

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spherelab.mesh import load_mesh
+from spherelab.mesh import load_mesh, save_mesh
+from spherelab.zoo import great_sphere
 
 REPO = Path(__file__).resolve().parents[1]
 XI_CONFIG = str(REPO / "configs" / "xi21.json")
@@ -192,6 +193,42 @@ def test_measure_of_a_mesh_file_reports_the_built_meshs_willmore_energy(tmp_path
 def test_measure_missing_file_is_io_error(tmp_path):
     rc, _, err = run_cli(["measure", "--mesh", "nope.mesh.json"], tmp_path)
     assert rc == 4
+
+
+def _last_face_off_grid(doc):
+    faces = [list(f) for f in doc["faces"]]
+    faces[-1][2] += 0.5  # an int64 cast would read the same face
+    return dict(doc, faces=faces)
+
+
+@pytest.mark.parametrize("command, edit, named", [
+    ("measure", lambda doc: [], "JSON object"),
+    ("measure", lambda doc: dict(doc, boundary_loops=5), "'boundary_loops'"),
+    ("measure", _last_face_off_grid, "'faces'"),
+    ("measure", lambda doc: dict(doc, dimension=[3]), "'dimension'"),
+    ("measure", lambda doc: dict(doc, vertices={}), "'vertices'"),
+    ("measure", lambda doc: dict(doc, orientable="false"), "'orientable'"),
+    ("build", lambda cfg: [], "JSON object"),
+    ("build", lambda cfg: dict(cfg, boundary_vertices=3), "'boundary_vertices'"),
+    ("build", lambda cfg: dict(cfg, tol=[1e-3]), "'tol'"),
+    ("build", lambda cfg: dict(cfg, max_iter=2.5), "'max_iter'"),
+], ids=["mesh-list", "mesh-loops-int", "mesh-face-float", "mesh-dimension-list",
+        "mesh-vertices-object", "mesh-orientable-string", "config-list",
+        "config-corners-int", "config-tol-list", "config-max-iter-float"])
+def test_malformed_input_files_exit_two_naming_the_field(tmp_path, command,
+                                                         edit, named):
+    if command == "measure":
+        source = tmp_path / "s.mesh.json"
+        save_mesh(great_sphere(1), source)
+        args = ["measure", "--mesh", "bad.json"]
+    else:
+        source = Path(XI_CONFIG)
+        args = ["build", "xi", "--config", "bad.json", "-o", "xi.mesh.json"]
+    doc = edit(json.loads(source.read_text()))
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    rc, _, err = run_cli(args, tmp_path)
+    assert rc == 2 and "Traceback" not in err, err
+    assert named in err
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,38 @@ def test_each_metric_computes_its_angles_and_areas_once(monkeypatch):
         assert len(set(keys)) == len(keys)
 
 
+def test_each_curvature_evaluation_computes_the_dual_areas_once(monkeypatch):
+    import importlib
+    import pkgutil
+
+    import spherelab
+    from spherelab import flow as flow_mod
+    from spherelab.extrinsic import ExtrinsicField
+
+    calls = {"dual": 0, "evaluations": 0}
+    evaluated = flow_mod._evaluated
+
+    def counted_dual(mesh, metric):
+        calls["dual"] += 1
+        return vertex_dual_areas(mesh, metric)
+
+    def counted_evaluated(*args):
+        calls["evaluations"] += 1
+        return evaluated(*args)
+
+    for info in pkgutil.iter_modules(spherelab.__path__):
+        mod = importlib.import_module(f"spherelab.{info.name}")
+        if vars(mod).get("vertex_dual_areas") is vertex_dual_areas:
+            monkeypatch.setattr(mod, "vertex_dual_areas", counted_dual)
+    monkeypatch.setattr(flow_mod, "_evaluated", counted_evaluated)
+    run_uniformization(lawson_tau(3, 1, 32, 8), tol=1e-4)
+    assert calls["evaluations"] > 50
+    assert calls["dual"] == calls["evaluations"]
+    calls["dual"] = 0
+    ExtrinsicField.compute(clifford_torus(16))
+    assert calls["dual"] == 1
+
+
 @pytest.mark.parametrize("max_steps", [0, -3])
 def test_step_budget_below_one_is_refused(max_steps):
     with pytest.raises(ValueError, match="max_steps"):

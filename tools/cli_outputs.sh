@@ -60,6 +60,11 @@ run ambient_tau24 ambient --mesh tau24.mesh.json --t-end 0.1 --out-dir ambient
 # the benchmark's horizon on a seed whose surface particles leave the surface
 run ambient_tau24_seed5 ambient --mesh tau24.mesh.json --t-end 0.25 --seed 5 \
     --out-dir ambient_seed5
+# the CLI's own horizon t_end = 1.0, every default
+run ambient_tau24_default ambient --mesh tau24.mesh.json --out-dir ambient_default
+# at that horizon seed 2 meets a sheet tie where u disagrees: exit 3
+run_code ambient_tau24_tie ambient --mesh tau24.mesh.json --seed 2 \
+    --out-dir ambient_tie
 run_code flow_budget flow --mesh tau31.mesh.json --tol 1e-12 --max-steps 5 \
     -o tau31_budget.trace.csv
 run_code bipolar_tau31 build bipolar --nu 32 --nv 10 -o bipolar.mesh.json
