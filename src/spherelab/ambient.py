@@ -106,9 +106,6 @@ _OUTSIDE_ROUNDS = 1000
 def _bump(rho: np.ndarray, eps: float):
     """Quintic cutoff: (value, d/d rho); 1 on [0, eps], 0 on [2 eps, inf)."""
     rho = np.asarray(rho, dtype=float)
-    if (rho <= eps).all():
-        # s is +0.0 in every row, where the formulas give exactly 1 and -0.0
-        return np.ones_like(rho), np.full_like(rho, -0.0)
     s = np.minimum(np.maximum((rho - eps) / eps, 0.0), 1.0)
     value = 1.0 - (10 * s ** 3 - 15 * s ** 4 + 6 * s ** 5)
     slope = -30.0 * s ** 2 * (1.0 - s) ** 2 / eps

@@ -57,7 +57,7 @@ from .mesh import (
     DiscreteMetric,
     SurfaceMesh,
     VertexField,
-    _curvature,
+    angle_defect_curvature,
     induced_metric,
     vertex_dual_areas,
 )
@@ -438,7 +438,7 @@ class ExtrinsicField:
     def compute(cls, mesh: SurfaceMesh) -> "ExtrinsicField":
         g = induced_metric(mesh)
         dual = vertex_dual_areas(mesh, g).values
-        s = _curvature(mesh, g, dual)
+        s = angle_defect_curvature(mesh, g, dual).values
         alpha_sq, H = _quadric_scan(mesh)
         alpha_sq = np.maximum(alpha_sq, 0.0)
         h2 = np.sum(H * H, axis=1)

@@ -37,7 +37,7 @@ from .mesh import (
     EUCLIDEAN,
     SurfaceMesh,
     VertexField,
-    _curvature,
+    angle_defect_curvature,
     euler_characteristic,
     induced_metric,
     vertex_dual_areas,
@@ -103,7 +103,7 @@ def _evaluated(mesh: SurfaceMesh, u: np.ndarray, metric: DiscreteMetric,
                time: float, area: float, target: float) -> FlowState:
     """The state at factors u: the one curvature evaluation of ``metric``."""
     A = vertex_dual_areas(mesh, metric).values
-    s = _curvature(mesh, metric, A)
+    s = angle_defect_curvature(mesh, metric, A).values
     return FlowState(VertexField(u), time, area,
                      float(np.max(np.abs(s - target))),
                      float(np.sum((s - target) ** 2 * A)), s, A)

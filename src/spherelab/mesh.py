@@ -467,26 +467,26 @@ def total_area(mesh: SurfaceMesh, metric: DiscreteMetric) -> float:
     return float(np.sum(metric.areas))
 
 
-def angle_defect_curvature(mesh: SurfaceMesh, metric: DiscreteMetric) -> VertexField:
+def angle_defect_curvature(mesh: SurfaceMesh, metric: DiscreteMetric,
+                           dual: np.ndarray | None = None) -> VertexField:
     """Discrete scalar curvature s_i = 2 * defect_i / A_i (plus the spherical
     face-interior share, see the module docstring).
 
     Interior vertices use the 2*pi defect; boundary vertices (Plateau
-    patches) use pi.
+    patches) use pi.  A caller that already holds the metric's vertex dual
+    areas passes them as ``dual``, so they are not computed twice.
     """
-    return VertexField(_curvature(mesh, metric,
-                                  vertex_dual_areas(mesh, metric).values))
-
-
-def _curvature(mesh: SurfaceMesh, metric: DiscreteMetric,
-               dual: np.ndarray) -> np.ndarray:
-    """``angle_defect_curvature`` values from the metric's dual areas, for
-    callers that already hold them."""
+    _check_pair(mesh, metric)
+    if dual is None:
+        dual = vertex_dual_areas(mesh, metric).values
     angle_sum = np.bincount(mesh.faces.ravel(), metric.angles.ravel(),
                             minlength=mesh.n_vertices)
     full = np.where(mesh.boundary_vertex_mask, np.pi, 2.0 * np.pi)
-    s = 2.0 * (full - angle_sum) / dual
-    return s + 2.0 if metric.convention == SPHERICAL else s
+    defect = full - angle_sum
+    s = 2.0 * defect / dual
+    if metric.convention == SPHERICAL:
+        s = s + 2.0
+    return VertexField(s)
 
 
 # ---------------------------------------------------------------------------
@@ -535,45 +535,44 @@ def save_mesh(mesh: SurfaceMesh, path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _listed(value, field: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"mesh field {field!r} must be a list, not "
+def _field(doc: dict, key: str, kind, what: str, source: str, default=None):
+    """``doc[key]`` (``default`` when it is given and the key is absent),
+    refused with a ValueError naming the field unless it is of ``kind``.
+    JSON true and false are bools, which Python counts as integers."""
+    value = doc[key] if default is None or key in doc else default
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ValueError(f"{source} field {key!r} must be {what}, not "
                          f"{type(value).__name__}")
     return value
 
 
-def _array(value, field: str, integer: bool) -> np.ndarray:
-    """A list field as an array of integers or of numbers; a plain int64
-    cast would read a face index 2.5 as 2."""
-    a = np.array(_listed(value, field))
-    if a.size and a.dtype.kind not in ("iu" if integer else "iuf"):
-        raise ValueError(f"mesh field {field!r} must hold "
-                         f"{'integers' if integer else 'numbers'}, not {a.dtype}")
+def _array(value, key: str, ndim: int, integer: bool) -> np.ndarray:
+    """A mesh list field as an ``ndim``-dimensional array of integers or of
+    numbers; a plain int64 cast would read a face index 2.5 as 2."""
+    a = np.array(value)
+    if a.ndim != ndim or a.size and a.dtype.kind not in ("iu" if integer else "iuf"):
+        raise ValueError(f"mesh field {key!r} must be {ndim}-dimensional, of "
+                         f"{'integers' if integer else 'numbers'}, not "
+                         f"{a.ndim}-dimensional {a.dtype}")
     return a
 
 
 def load_mesh(path) -> SurfaceMesh:
     """Read a ``save_mesh`` file.  Raises ValueError naming the field when
     the document is not a JSON object, ``dimension`` is not an integer,
-    ``orientable`` not a boolean, ``vertices`` not a list of numbers, or
-    ``faces`` or a boundary loop not a list of integer indices."""
+    ``orientable`` not a boolean, ``vertices`` not a table of numbers, or
+    ``faces`` or a boundary loop not a table or list of integer indices."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError(f"a mesh file holds a JSON object, not "
                          f"{type(doc).__name__}")
-    dim, orientable = doc["dimension"], doc.get("orientable", True)
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise ValueError(f"mesh field 'dimension' must be an integer, not "
-                         f"{type(dim).__name__}")
-    if not isinstance(orientable, bool):
-        raise ValueError(f"mesh field 'orientable' must be true or false, not "
-                         f"{type(orientable).__name__}")
+    loops = _field(doc, "boundary_loops", list, "a list", "mesh", [])
     return SurfaceMesh(
-        dimension=dim,
-        vertices=_array(doc["vertices"], "vertices", integer=False),
-        faces=_array(doc["faces"], "faces", integer=True),
-        boundary_loops=[_array(loop, "boundary_loops", integer=True) for loop
-                        in _listed(doc.get("boundary_loops", []), "boundary_loops")],
-        orientable=orientable,
+        dimension=_field(doc, "dimension", int, "an integer", "mesh"),
+        vertices=_array(doc["vertices"], "vertices", 2, integer=False),
+        faces=_array(doc["faces"], "faces", 2, integer=True),
+        boundary_loops=[_array(loop, "boundary_loops", 1, integer=True)
+                        for loop in loops],
+        orientable=_field(doc, "orientable", bool, "true or false", "mesh", True),
         name=doc.get("name", ""),
     )

@@ -46,8 +46,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import AntipodalPair, StalledDescent, WeldFailure, WrongEuler
 from .extrinsic import cotan_laplacian
-from .mesh import (EUCLIDEAN, DiscreteMetric, SurfaceMesh, _heron, _spherical_excess,
-                   euler_characteristic)
+from .mesh import (EUCLIDEAN, DiscreteMetric, SurfaceMesh, _field, _heron,
+                   _spherical_excess, euler_characteristic)
 from .sphere import (AmbientPoint, SphereIsometry, geodesic_distances,
                      reflection_across_great_circle)
 from .zoo import weld_vertices
@@ -467,19 +467,16 @@ def load_plateau_problem(config) -> tuple:
     if not isinstance(cfg, dict):
         raise ValueError(f"a Plateau config is a JSON object, not "
                          f"{type(cfg).__name__}")
-    for key, kind, what in (("boundary_vertices", list, "a list"),
-                            ("generators", list, "a list"),
-                            ("tol", (int, float), "a number"),
+    for key, kind, what in (("tol", (int, float), "a number"),
                             ("max_iter", int, "an integer"),
-                            ("expected_genus", int, "an integer"),
-                            ("resolution", int, "an integer")):
-        value = cfg.get(key)
-        if key in cfg and (isinstance(value, bool) or not isinstance(value, kind)):
-            raise ValueError(f"config field {key!r} must be {what}, not "
-                             f"{type(value).__name__}")
-    corners = np.asarray(cfg["boundary_vertices"], dtype=float)
-    gens = tuple(SphereIsometry(np.asarray(m, dtype=float)) for m in cfg["generators"])
-    disk = quadrilateral_disk(corners, int(cfg.get("resolution", 12)),
+                            ("expected_genus", int, "an integer")):
+        _field(cfg, key, kind, what, "config")
+    corners = np.asarray(_field(cfg, "boundary_vertices", list, "a list", "config"),
+                         dtype=float)
+    gens = tuple(SphereIsometry(np.asarray(m, dtype=float))
+                 for m in _field(cfg, "generators", list, "a list", "config"))
+    disk = quadrilateral_disk(corners,
+                              _field(cfg, "resolution", int, "an integer", "config", 12),
                               name=str(cfg.get("name", "")) + "|disk")
     problem = PlateauProblem(boundary=tuple(corners), interior_init=disk,
                              reflection_generators=gens)

@@ -208,13 +208,15 @@ def _last_face_off_grid(doc):
     ("measure", lambda doc: dict(doc, dimension=[3]), "'dimension'"),
     ("measure", lambda doc: dict(doc, vertices={}), "'vertices'"),
     ("measure", lambda doc: dict(doc, orientable="false"), "'orientable'"),
+    ("measure", lambda doc: dict(doc, boundary_loops=[[[0, 1]]]), "'boundary_loops'"),
     ("build", lambda cfg: [], "JSON object"),
     ("build", lambda cfg: dict(cfg, boundary_vertices=3), "'boundary_vertices'"),
     ("build", lambda cfg: dict(cfg, tol=[1e-3]), "'tol'"),
     ("build", lambda cfg: dict(cfg, max_iter=2.5), "'max_iter'"),
 ], ids=["mesh-list", "mesh-loops-int", "mesh-face-float", "mesh-dimension-list",
-        "mesh-vertices-object", "mesh-orientable-string", "config-list",
-        "config-corners-int", "config-tol-list", "config-max-iter-float"])
+        "mesh-vertices-object", "mesh-orientable-string", "mesh-loop-nested",
+        "config-list", "config-corners-int", "config-tol-list",
+        "config-max-iter-float"])
 def test_malformed_input_files_exit_two_naming_the_field(tmp_path, command,
                                                          edit, named):
     if command == "measure":
