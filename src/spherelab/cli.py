@@ -75,24 +75,23 @@ def _built_mesh(args):
         # tau_{3,1} welds only on the grid its deck maps permute
         sampling = "bipolar" if (args.m, args.k) == (3, 1) else "uniform"
         return bipolar(lawson_tau(args.m, args.k, args.nu, args.nv, sampling)).mesh
+    if args.surface == "xi":
+        if not args.config:
+            raise ValueError("build xi needs --config")
+        mesh, solution = build_xi(args.config)
+        print(f"plateau residual={_g(solution.residual)} "
+              f"iterations={solution.iterations} patch_area={_g(solution.area)}")
+        if not solution.residual < solution.tol:
+            raise NonConvergence(
+                f"plateau residual {_g(solution.residual)} is not below tol "
+                f"{_g(solution.tol)} after max_iter {solution.iterations} "
+                "iterations; the patch is not minimal")
+        return mesh
     raise ValueError(f"unknown builder: {args.surface}")
 
 
 def cmd_build(args) -> int:
-    if args.surface == "xi":
-        if not args.config:
-            raise ValueError("build xi needs --config")
-        cfg = json.loads(Path(args.config).read_text())
-        mesh, solution = build_xi(cfg)
-        print(f"plateau residual={_g(solution.residual)} "
-              f"iterations={solution.iterations} patch_area={_g(solution.area)}")
-        if not solution.residual < float(cfg["tol"]):
-            print(f"error: plateau residual {_g(solution.residual)} is not below "
-                  f"tol {_g(cfg['tol'])} after max_iter {cfg['max_iter']} "
-                  "iterations; the patch is not minimal", file=sys.stderr)
-            return EXIT_NUMERIC
-    else:
-        mesh = _built_mesh(args)
+    mesh = _built_mesh(args)
     chi = euler_characteristic(mesh)
     print(f"name={mesh.name} chi={chi} V={mesh.n_vertices} E={mesh.n_edges} "
           f"F={mesh.n_faces} orientable={mesh.orientable}")

@@ -102,7 +102,8 @@ class StalledDescent(NumericFailure):
 
 
 class NonConvergence(NumericFailure):
-    """A flow hit its step budget before reaching tolerance; carries the trace."""
+    """A flow or the Plateau descent used its step budget without reaching
+    tolerance; a flow's error carries the trace."""
 
     def __init__(self, message: str, trace=None, state=None):
         super().__init__(message)

@@ -178,6 +178,9 @@ class SurfaceMesh:
     vertex_normals:
         optional (V, d+1) unit field orthogonal to both the position and the
         surface; attached by parametric builders in S^3 that know it exactly.
+
+    Validation keeps ``edges`` and ``face_edge_ids`` (``_edge_table``) and
+    the read-only ``boundary_vertex_mask``.
     """
 
     def __init__(self, dimension, vertices, faces, boundary_loops=(), orientable=True,
@@ -203,16 +206,8 @@ class SurfaceMesh:
         return self.faces.shape[0]
 
     @property
-    def edges(self) -> np.ndarray:
-        return self._edges
-
-    @property
-    def face_edge_ids(self) -> np.ndarray:
-        return self._face_edge_ids
-
-    @property
     def n_edges(self) -> int:
-        return self._edges.shape[0]
+        return self.edges.shape[0]
 
     @property
     def is_closed(self) -> bool:
@@ -228,13 +223,6 @@ class SurfaceMesh:
         out[flip] = out[flip][:, ::-1]
         return out
 
-    @property
-    def boundary_vertex_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_vertices, dtype=bool)
-        for loop in self.boundary_loops:
-            mask[loop] = True
-        return mask
-
     # -- validation -----------------------------------------------------------
 
     def _validate(self):
@@ -247,7 +235,7 @@ class SurfaceMesh:
                 f"vertices have shape {V.shape}, expected (*, {d + 1})")
         norms = np.linalg.norm(V, axis=1)
         worst = float(np.max(np.abs(norms - 1.0))) if len(norms) else 0.0
-        if worst > 1e-12:
+        if not worst <= 1e-12:  # NaN would pass ``worst > 1e-12``
             raise MeshInvariantError(f"vertex norms deviate from 1 by {worst:.3e}")
 
         F = self.faces
@@ -279,8 +267,12 @@ class SurfaceMesh:
             raise MeshInvariantError(
                 f"boundary loops cover {len(declared)} edges but the mesh has "
                 f"{len(boundary)} boundary edges")
-        self._edges = edges
-        self._face_edge_ids = face_edge_ids
+        self.edges = edges
+        self.face_edge_ids = face_edge_ids
+        # every loop vertex now ends a mesh edge, so it indexes in range
+        mask = np.zeros(self.n_vertices, dtype=bool)
+        mask[[v for loop in self.boundary_loops for v in loop]] = True
+        self.boundary_vertex_mask = _read_only(mask)
 
         computed, flips = _orientation_scan(F, edges, face_edge_ids)
         if computed != self.orientable:
@@ -293,9 +285,9 @@ class SurfaceMesh:
         if N is not None:
             if N.shape != V.shape:
                 raise DimensionMismatch("vertex_normals shape mismatch")
-            if float(np.max(np.abs(np.linalg.norm(N, axis=1) - 1.0))) > 1e-8:
+            if not float(np.max(np.abs(np.linalg.norm(N, axis=1) - 1.0))) <= 1e-8:
                 raise MeshInvariantError("vertex normals are not unit")
-            if float(np.max(np.abs(np.sum(N * V, axis=1)))) > 1e-8:
+            if not float(np.max(np.abs(np.sum(N * V, axis=1)))) <= 1e-8:
                 raise MeshInvariantError("vertex normals are not tangent to the sphere")
 
     # -- misc -----------------------------------------------------------------

@@ -161,12 +161,14 @@ class PlateauProblem:
 
 @dataclass(frozen=True)
 class PlateauSolution:
-    """A solved patch: the mesh, the residual max|H| reached, and bookkeeping."""
+    """A solved patch: the mesh, the residual max|H| reached, bookkeeping, and
+    the ``tol`` it was solved against; it is minimal when residual < tol."""
 
     mesh: SurfaceMesh
     residual: float
     iterations: int
     area: float
+    tol: float
 
 
 def _measure(V: np.ndarray, edges: np.ndarray, face_edge_ids: np.ndarray) -> tuple:
@@ -275,10 +277,15 @@ def solve_plateau(problem: PlateauProblem, tol: float = 1e-2,
     strictly decreases and no triangle quality falls to QUALITY_FLOOR.
     Returns once ``max interior |H| < tol`` or after ``max_iter`` accepted
     steps (the achieved residual is in the result either way).  Raises
-    StalledDescent -- carrying the residual, the iteration count and the
-    best mesh -- when the line search cannot decrease the area at all while
-    the residual still exceeds ``tol``.
+    ValueError unless 0 <= tol < inf and max_iter >= 1, and StalledDescent
+    -- carrying the residual, the iteration count and the best mesh -- when
+    the line search cannot decrease the area at all while the residual
+    still exceeds ``tol``.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol = {tol} must be finite and nonnegative")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter = {max_iter} must be at least 1")
     disk = problem.interior_init
     V = disk.vertices.copy()
     F = disk.faces
@@ -298,7 +305,7 @@ def solve_plateau(problem: PlateauProblem, tol: float = 1e-2,
         H, dual = _descent_state(V, F, measured, free, tail, head)
         residual = float(np.max(np.linalg.norm(H, axis=1)))
         if residual < tol:
-            return PlateauSolution(disk.with_vertices(V), residual, it, area)
+            return PlateauSolution(disk.with_vertices(V), residual, it, area, tol)
         # the cotan weights read the flat layout, so build it directly
         metric = DiscreteMetric(ends, geodesic_distances(V[ends[:, 0]], V[ends[:, 1]]),
                                 EUCLIDEAN, fe, disk.n_vertices)
@@ -320,7 +327,7 @@ def solve_plateau(problem: PlateauProblem, tol: float = 1e-2,
         V, area, measured = Vt, trial, measured_t
         eta = min(1.3 * eta, 1.0)
 
-    return PlateauSolution(disk.with_vertices(V), residual, max_iter, area)
+    return PlateauSolution(disk.with_vertices(V), residual, max_iter, area, tol)
 
 
 def assemble_by_reflection(patch, generators, expected_genus: int,
@@ -486,9 +493,9 @@ def load_plateau_problem(config) -> tuple:
 def build_xi(config) -> tuple:
     """Solve the configured Plateau problem and close it up by reflection.
 
-    Returns ``(closed_mesh, patch_solution)``; exceptions from the solver
-    (StalledDescent) and the assembler (WeldFailure, WrongEuler) propagate
-    so callers can report them.
+    Returns ``(closed_mesh, patch_solution)`` whether or not the patch met
+    its ``tol``; exceptions from the solver (StalledDescent) and the
+    assembler (WeldFailure, WrongEuler) propagate so callers can report them.
     """
     problem, cfg = load_plateau_problem(config)
     solution = solve_plateau(problem, tol=float(cfg["tol"]),

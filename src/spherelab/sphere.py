@@ -60,7 +60,7 @@ class AmbientPoint:
         c = np.atleast_1d(np.asarray(self.coords, dtype=float))
         object.__setattr__(self, "coords", c)
         n = float(np.linalg.norm(c))
-        if abs(n - 1.0) > UNIT_TOL:
+        if not abs(n - 1.0) <= UNIT_TOL:
             raise ValueError(f"point is not on the unit sphere: |v| - 1 = {n - 1.0:.3e}")
 
     @property
@@ -104,7 +104,7 @@ class SphereIsometry:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("isometry matrix must be square")
         err = float(np.max(np.abs(m.T @ m - np.eye(m.shape[0]))))
-        if err > 1e-12:
+        if not err <= 1e-12:
             raise NonOrthonormalBasis(f"matrix is not orthogonal: |Q^T Q - I| = {err:.3e}")
 
     @property

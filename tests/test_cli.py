@@ -104,6 +104,43 @@ def test_build_xi_short_of_tol_exits_numeric(tmp_path):
     assert not (tmp_path / "xi.mesh.json").exists()
 
 
+def test_build_xi_out_of_iterations_leaves_through_nonconvergence(tmp_path):
+    # a missed tolerance is a NumericFailure like any other exit 3
+    cfg = json.loads(open(XI_CONFIG).read())
+    (tmp_path / "short.json").write_text(json.dumps(dict(cfg, max_iter=5)))
+    rc, _, err = run_cli(["build", "xi", "--config", "short.json"], tmp_path)
+    assert rc == 3
+    assert "error: NonConvergence: plateau residual" in err
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("tol", float("inf"), "tol = inf"),
+    ("tol", float("nan"), "tol = nan"),
+    ("tol", -1, "tol = -1"),
+    ("max_iter", 0, "max_iter = 0"),
+    ("max_iter", -3, "max_iter = -3"),
+])
+def test_build_xi_refuses_plateau_options_it_cannot_meet(tmp_path, key, value,
+                                                         named):
+    # tol = inf would write the unsolved patch as the surface (exit 0)
+    cfg = json.loads(open(XI_CONFIG).read())
+    (tmp_path / "bad.json").write_text(json.dumps(dict(cfg, **{key: value})))
+    rc, out, err = run_cli(["build", "xi", "--config", "bad.json",
+                            "-o", "xi.mesh.json"], tmp_path)
+    assert rc == 2, err
+    assert named in err and "plateau residual" not in out
+    assert not (tmp_path / "xi.mesh.json").exists()
+
+
+def test_build_xi_nan_generator_is_refused_as_not_orthogonal(tmp_path):
+    cfg = json.loads(open(XI_CONFIG).read())
+    cfg["generators"][0][0][0] = float("nan")
+    (tmp_path / "bad.json").write_text(json.dumps(cfg))
+    rc, _, err = run_cli(["build", "xi", "--config", "bad.json"], tmp_path)
+    assert rc == 2
+    assert "matrix is not orthogonal: |Q^T Q - I| = nan" in err
+
+
 def test_unknown_builder_rejected_before_computation(tmp_path):
     rc, _, err = run_cli(["build", "mobius"], tmp_path)
     assert rc == 2
@@ -199,6 +236,15 @@ def _last_face_off_grid(doc):
     faces = [list(f) for f in doc["faces"]]
     faces[-1][2] += 0.5  # an int64 cast would read the same face
     return dict(doc, faces=faces)
+
+
+def test_measure_nan_vertex_is_refused_naming_the_vertex_norms(tmp_path):
+    doc = great_sphere(1).to_dict()
+    doc["vertices"][0][0] = float("nan")
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    rc, _, err = run_cli(["measure", "--mesh", "bad.json"], tmp_path)
+    assert rc == 2
+    assert "vertex norms deviate from 1 by nan" in err
 
 
 @pytest.mark.parametrize("command, edit, named", [

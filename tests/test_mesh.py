@@ -202,6 +202,26 @@ def test_vertex_normals_validated():
         M.SurfaceMesh(3, m.vertices, m.faces, vertex_normals=m.vertices)
 
 
+def test_nan_vertex_or_normal_is_refused_by_its_own_guard():
+    m = _octahedron()
+    V = m.vertices.copy()
+    V[0, 0] = np.nan
+    with pytest.raises(MeshInvariantError, match="vertex norms deviate from 1 by nan"):
+        M.SurfaceMesh(3, V, m.faces)
+    N = np.zeros_like(m.vertices)
+    N[:, 3] = 1.0
+    N[0, 3] = np.nan
+    with pytest.raises(MeshInvariantError, match="not unit"):
+        M.SurfaceMesh(3, m.vertices, m.faces, vertex_normals=N)
+
+
+def test_boundary_vertex_mask_is_computed_once_and_read_only():
+    m = _disc_fan()
+    assert m.boundary_vertex_mask is m.boundary_vertex_mask
+    assert not m.boundary_vertex_mask.flags.writeable
+    assert not _octahedron().boundary_vertex_mask.any()
+
+
 # ---------------------------------------------------------------------------
 # metric quantities with exact oracles
 

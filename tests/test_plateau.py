@@ -314,6 +314,25 @@ def test_max_iter_exhaustion_returns_the_achieved_residual():
     assert sol.residual > 1e-12
 
 
+@pytest.mark.parametrize("tol, max_iter, named", [
+    (np.inf, 20000, "tol ="), (np.nan, 20000, "tol ="), (-1.0, 20000, "tol ="),
+    (1e-3, 0, "max_iter ="), (1e-3, -3, "max_iter ="),
+])
+def test_options_that_skip_or_cannot_end_the_descent_are_refused(tol, max_iter,
+                                                                  named):
+    # tol = inf would return the initial disk, nan or < 0 would run every
+    # iteration, and max_iter < 1 would report an infinite residual
+    prob, *_ = _xi_problem(2, 4)
+    with pytest.raises(ValueError, match=named):
+        solve_plateau(prob, tol=tol, max_iter=max_iter)
+
+
+def test_solution_records_the_tol_it_was_solved_against():
+    prob, *_ = _xi_problem(2, 6)
+    assert solve_plateau(prob, tol=2e-3, max_iter=20000).tol == 2e-3
+    assert solve_plateau(prob, tol=1e-12, max_iter=3).tol == 1e-12
+
+
 def test_stalled_descent_reports_rather_than_accepting():
     prob, corners, gens = _xi_problem(2, 8)
     sol = solve_plateau(prob, tol=1e-3, max_iter=20000)

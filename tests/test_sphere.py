@@ -31,6 +31,16 @@ def test_ambient_point_rejects_non_unit():
         sphere.AmbientPoint(np.array([1.0, 1e-3, 0.0, 0.0]))
 
 
+def test_nan_passes_no_unit_or_orthogonality_guard():
+    # every comparison with NaN is false, so the guards read not (x <= tol)
+    with pytest.raises(ValueError, match="nan"):
+        sphere.AmbientPoint(np.array([np.nan, 0.0, 0.0, 1.0]))
+    Q = np.eye(4)
+    Q[0, 0] = np.nan
+    with pytest.raises(NonOrthonormalBasis, match="= nan"):
+        sphere.SphereIsometry(Q)
+
+
 def test_geodesic_distance_matches_angle():
     rng = _rng(7)
     for _ in range(50):

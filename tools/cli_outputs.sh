@@ -85,17 +85,22 @@ run_code ambient_too_wide ambient --mesh tau24.mesh.json --epsilon 0.25 \
 run_code flow_nan_tol flow --mesh clifford.mesh.json --tol nan --max-steps 5 \
     -o clifford_nan_tol.trace.csv
 # variants of configs/xi21.json: a five-iteration budget, the Plateau path
-# on a finer initial disk, and a genus the assembled surface does not have
+# on a finer initial disk, a genus the assembled surface does not have, and
+# a tolerance no residual can miss (json writes it as Infinity)
 python -c 'import json, sys
 cfg = json.load(open(sys.argv[1]))
 open("xi21_short.json", "w").write(json.dumps(dict(cfg, max_iter=5), indent=2))
 open("xi21_r24.json", "w").write(json.dumps(dict(cfg, resolution=24), indent=2))
 open("xi21_wrong_genus.json", "w").write(
-    json.dumps(dict(cfg, expected_genus=1), indent=2))' \
+    json.dumps(dict(cfg, expected_genus=1), indent=2))
+open("xi21_tol_inf.json", "w").write(
+    json.dumps(dict(cfg, tol=float("inf")), indent=2))' \
     "$REPO/configs/xi21.json"
 run_code build_xi_short build xi --config xi21_short.json -o xi21_short.mesh.json
 # WrongEuler is not a numeric failure: exit 2
 run_code build_xi_wrong_genus build xi --config xi21_wrong_genus.json \
     -o xi21_wrong_genus.mesh.json
+# it would skip the descent and write the initial disk's orbit: exit 2
+run_code build_xi_tol_inf build xi --config xi21_tol_inf.json -o xi21_tol_inf.mesh.json
 run build_xi21_r24 build xi --config xi21_r24.json -o xi21_r24.mesh.json
 run measure_xi21_r24 measure --mesh xi21_r24.mesh.json -o xi21_r24.measure.csv
