@@ -101,6 +101,8 @@ _AMBIGUITY_U = 1e-6
 _REUSE_MARGIN = 1e-12
 # rejection rounds for outside particles before epsilon is refused as too wide
 _OUTSIDE_ROUNDS = 1000
+# farthest a transported surface particle may end from the curved surface
+SURFACE_FIXING_BOUND = 1e-4
 
 
 def _bump(rho: np.ndarray, eps: float):

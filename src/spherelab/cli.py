@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .ambient import (
+    SURFACE_FIXING_BOUND,
     ParticleEnsemble,
     TubeField,
     build_ensemble,
@@ -30,7 +31,8 @@ from .ambient import (
     residual_json,
     trajectory_csv,
 )
-from .errors import NonConvergence, NumericFailure, SpherelabError
+from .errors import (NonConvergence, NumericFailure, SpherelabError,
+                     SurfaceNotFixed)
 from .extrinsic import ExtrinsicField
 from .flow import run_uniformization, trace_csv
 from .functionals import (evaluate_functionals, functional_csv, sigma_of_class,
@@ -171,6 +173,10 @@ def cmd_ambient(args) -> int:
     sys.stdout.write(rj + "\n")
     _write(outdir / "residuals.json", rj + "\n")
     _write(outdir / "trajectories.csv", trajectory_csv(ensemble))
+    if not fixing <= SURFACE_FIXING_BOUND:  # a NaN distance fails too
+        raise SurfaceNotFixed(
+            f"surface_fixing_error {_g(fixing)} is not within "
+            f"{_g(SURFACE_FIXING_BOUND)}: surface particles left the surface")
     return EXIT_OK
 
 

@@ -117,3 +117,7 @@ class StepTooLarge(SpherelabError):
 
 class ClosestPointAmbiguous(NumericFailure):
     """A tube-field query sits on a ridge between surface sheets that disagree."""
+
+
+class SurfaceNotFixed(NumericFailure):
+    """Transported surface particles ended off the curved surface."""

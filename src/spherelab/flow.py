@@ -124,15 +124,15 @@ def _renormalized(mesh: SurfaceMesh, base: DiscreteMetric, u: np.ndarray,
     by e^{2c}, so one exact logarithm restores the area; one extra pass
     absorbs the rounding of exp.
     """
+    metric = conformal_lengths(base, VertexField(u))
     for _ in range(2):
-        metric = conformal_lengths(base, VertexField(u))
         c = 0.5 * np.log(target_area / float(np.sum(metric.areas)))
         u = u + c
-        if c == 0.0:  # scales no length: this is already the metric of u
-            return u, metric
+        if c != 0.0:  # c = 0 scales no length: metric is already that of u
+            metric = conformal_lengths(base, VertexField(u))
         if abs(c) < 1e-15:
             break
-    return u, conformal_lengths(base, VertexField(u))
+    return u, metric
 
 
 def flow_step(state: FlowState, dt: float, target: float, mesh: SurfaceMesh,
@@ -151,13 +151,14 @@ def run_uniformization(mesh: SurfaceMesh, tol: float = 1e-4,
                        max_steps: int = 20000):
     """Drive the flow until max_i |s_i - s_bar| < tol.
 
-    Returns (FlowTrace, final u).  Curvature target is s_bar = 4 pi chi / a
-    with a the Euclidean-law area of the induced metric (for chi = 0 the
-    target is exactly zero).  Raises NonConvergence, carrying the trace and the
-    last accepted state, when the step budget or the dt floor is exhausted,
-    and NumericFailure when the trace's area or total curvature drifts.
-    Raises ValueError for an open mesh, a tol that is not finite and
-    positive, or max_steps < 1.
+    Returns (FlowTrace, final u) for the first state within ``tol``, the
+    state after the last of ``max_steps`` attempted steps included.  The
+    target is s_bar = 4 pi chi / a, a the Euclidean-law area of the induced
+    metric (exactly 0 for chi = 0).  Raises NonConvergence, carrying the
+    trace and the last accepted state, when that state misses ``tol`` or the
+    dt floor is exhausted; NumericFailure when the trace's area or total
+    curvature drifts; ValueError for an open mesh, a tol that is not finite
+    and positive, or max_steps < 1.
     """
     if not mesh.is_closed:
         raise ValueError("the flow runs on closed meshes")
@@ -178,10 +179,15 @@ def run_uniformization(mesh: SurfaceMesh, tol: float = 1e-4,
                      "willmore_proxy": 4.0 * st.area, "lyapunov": st.lyapunov})
 
     record(0, state, 0.0)
-    accepted_run = 0
-    for step in range(1, max_steps + 1):
-        if state.curvature_dev < tol:
-            break
+    accepted_run = step = 0
+    # every state the flow can return is tested, the one after the last
+    # attempt the budget allows included; a NaN deviation keeps stepping
+    while not state.curvature_dev < tol:
+        if step == max_steps:
+            raise NonConvergence(
+                f"curvature_dev = {state.curvature_dev:.3e} after {max_steps} steps",
+                trace=FlowTrace(rows), state=state)
+        step += 1
         cause = "Lyapunov increases"
         try:
             cand = flow_step(state, dt, target, mesh, base)
@@ -200,10 +206,6 @@ def run_uniformization(mesh: SurfaceMesh, tol: float = 1e-4,
             dt *= 1.2
             accepted_run = 0
         record(step, state, dt)
-    else:
-        raise NonConvergence(
-            f"curvature_dev = {state.curvature_dev:.3e} after {max_steps} steps",
-            trace=FlowTrace(rows), state=state)
 
     trace = FlowTrace(rows)
     trace.check_invariants()

@@ -401,11 +401,19 @@ class DiscreteMetric:
                           else _heron(L))
 
     def as_euclidean(self) -> "DiscreteMetric":
-        """Reinterpret the same numbers as flat-triangle lengths."""
+        """Reinterpret the same numbers as flat-triangle lengths.
+
+        The twin shares the corner lengths and skips the guard, every flat
+        test of which these lengths passed as spherical ones.
+        """
         if self.convention == EUCLIDEAN:
             return self
-        return DiscreteMetric(self.edges, self.lengths, EUCLIDEAN,
-                              self.face_edge_ids, self.n_vertices)
+        twin = object.__new__(DiscreteMetric)
+        twin.__dict__.update(edges=self.edges, lengths=self.lengths,
+                             convention=EUCLIDEAN, face_edge_ids=self.face_edge_ids,
+                             n_vertices=self.n_vertices,
+                             face_corner_lengths=self.face_corner_lengths)
+        return twin
 
 
 def _check_pair(mesh: SurfaceMesh, metric: DiscreteMetric):

@@ -17,7 +17,7 @@ l'Huilier (``mesh._spherical_excess``) on the arcs.  The area test sums the
 excess, the quality floor takes A from Heron (``mesh._heron``) on the
 chords, and the accepted trial's measurement serves the next gradient and
 dual areas.  The descent either reaches ``max interior |H| < tol``, runs
-out of iterations (the achieved residual is returned for the caller to
+out of iterations (the residual of the returned patch is for the caller to
 judge), or stalls with the line search unable to shrink the area any
 further, which raises StalledDescent rather than silently accepting.
 
@@ -161,8 +161,8 @@ class PlateauProblem:
 
 @dataclass(frozen=True)
 class PlateauSolution:
-    """A solved patch: the mesh, the residual max|H| reached, bookkeeping, and
-    the ``tol`` it was solved against; it is minimal when residual < tol."""
+    """A solved patch: the mesh, its residual max|H|, bookkeeping, and the
+    ``tol`` it was solved against; it is minimal when residual < tol."""
 
     mesh: SurfaceMesh
     residual: float
@@ -276,7 +276,7 @@ def solve_plateau(problem: PlateauProblem, tol: float = 1e-2,
     (Pinkall-Polthier) update, and backtracks until the spherical area
     strictly decreases and no triangle quality falls to QUALITY_FLOOR.
     Returns once ``max interior |H| < tol`` or after ``max_iter`` accepted
-    steps (the achieved residual is in the result either way).  Raises
+    steps, with the residual of the patch it returns either way.  Raises
     ValueError unless 0 <= tol < inf and max_iter >= 1, and StalledDescent
     -- carrying the residual, the iteration count and the best mesh -- when
     the line search cannot decrease the area at all while the residual
@@ -297,15 +297,14 @@ def solve_plateau(problem: PlateauProblem, tol: float = 1e-2,
     measured = _measure(V, ends, fe)
     area = float(np.sum(measured[2]))
     eta = 1.0
-    residual = float("inf")
     tail = np.concatenate([ends[:, 0], ends[:, 1]])
     head = np.concatenate([ends[:, 1], ends[:, 0]])
 
-    for it in range(max_iter):
+    for it in range(max_iter + 1):  # every iterate it can return is measured
         H, dual = _descent_state(V, F, measured, free, tail, head)
         residual = float(np.max(np.linalg.norm(H, axis=1)))
-        if residual < tol:
-            return PlateauSolution(disk.with_vertices(V), residual, it, area, tol)
+        if residual < tol or it == max_iter:
+            break
         # the cotan weights read the flat layout, so build it directly
         metric = DiscreteMetric(ends, geodesic_distances(V[ends[:, 0]], V[ends[:, 1]]),
                                 EUCLIDEAN, fe, disk.n_vertices)
@@ -326,8 +325,7 @@ def solve_plateau(problem: PlateauProblem, tol: float = 1e-2,
                     residual=residual, iterations=it, mesh=disk.with_vertices(V))
         V, area, measured = Vt, trial, measured_t
         eta = min(1.3 * eta, 1.0)
-
-    return PlateauSolution(disk.with_vertices(V), residual, max_iter, area, tol)
+    return PlateauSolution(disk.with_vertices(V), residual, it, area, tol)
 
 
 def assemble_by_reflection(patch, generators, expected_genus: int,

@@ -113,6 +113,17 @@ def test_build_xi_out_of_iterations_leaves_through_nonconvergence(tmp_path):
     assert "error: NonConvergence: plateau residual" in err
 
 
+def test_build_xi_converging_on_its_last_allowed_iteration_writes_the_mesh(tmp_path):
+    # xi21 meets its tol on iteration 12: a budget of 12 is enough
+    cfg = json.loads(open(XI_CONFIG).read())
+    (tmp_path / "budget.json").write_text(json.dumps(dict(cfg, max_iter=12)))
+    rc, out, err = run_cli(["build", "xi", "--config", "budget.json",
+                            "-o", "xi.mesh.json"], tmp_path)
+    assert rc == 0, err
+    assert "plateau residual=0.00071586191499688038 iterations=12" in out
+    assert (tmp_path / "xi.mesh.json").exists()
+
+
 @pytest.mark.parametrize("key, value, named", [
     ("tol", float("inf"), "tol = inf"),
     ("tol", float("nan"), "tol = nan"),
@@ -325,6 +336,16 @@ def test_flow_exhausted_step_budget_exits_three_with_partial_trace(tmp_path):
     assert (tmp_path / "partial.csv").exists()
 
 
+def test_flow_within_tol_on_its_last_allowed_step_exits_zero(tmp_path):
+    run_cli(["build", "tau", "--nu", "32", "--nv", "8", "-o", "t.mesh.json"],
+            tmp_path)
+    rc, out, err = run_cli(["flow", "--mesh", "t.mesh.json", "--tol", "1e-3",
+                            "--max-steps", "60", "-o", "t.csv"], tmp_path)
+    assert rc == 0, err
+    assert out.startswith("steps=60 ")
+    assert (tmp_path / "t.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # ambient
 
@@ -347,6 +368,22 @@ def test_ambient_emits_residuals_and_trajectories(tmp_path):
     assert tags == {"on_surface", "in_tube", "outside"}
     # the integrated trajectories are written, not just the seeded positions
     assert float(lines[-1].split(",")[2]) == 0.1
+
+
+def test_ambient_off_the_surface_exits_three_after_writing_its_files(tmp_path):
+    # seed 5 leaves surface particles 2.75e-4 off the curved surface at
+    # t = 0.25, above the 1e-4 bound (the default seed at t = 0.1 stays
+    # within 1e-15 and exits 0: test_ambient_emits_residuals_and_trajectories)
+    run_cli(["build", "tau", "--nu", "24", "--nv", "6", "-o", "t.mesh.json"],
+            tmp_path)
+    rc, out, err = run_cli(["ambient", "--mesh", "t.mesh.json", "--t-end", "0.25",
+                            "--seed", "5", "--out-dir", "amb"], tmp_path)
+    assert rc == 3
+    assert ("error: SurfaceNotFixed: surface_fixing_error 0.00027477953186415396 "
+            "is not within 0.0001") in err
+    assert (tmp_path / "amb" / "residuals.json").exists()
+    assert (tmp_path / "amb" / "trajectories.csv").exists()
+    assert '"surface_fixing_error": "0.00027477953186415396"' in out
 
 
 def test_ambient_too_wide_a_tube_exits_two(tmp_path):
@@ -408,7 +445,7 @@ def test_invalid_step_inputs_exit_two_naming_the_argument(tmp_path, command,
 
 _NUMERIC_CLASSES = {"NonConvergence", "StalledDescent", "ClosestPointAmbiguous",
                     "NotMinimalAtResolution", "WeldFailure", "IllConditionedFit",
-                    "InsufficientNeighborhood"}
+                    "InsufficientNeighborhood", "SurfaceNotFixed"}
 
 
 def test_the_error_type_decides_between_exit_two_and_three(monkeypatch, tmp_path):

@@ -200,6 +200,35 @@ def test_nonconvergence_carries_the_trace():
     assert state.curvature_dev == exc.value.trace.rows[-1]["curvature_dev"]
 
 
+def test_a_state_within_tol_after_the_last_allowed_step_is_a_success():
+    # the 60th attempted step brings curvature_dev to 9.26e-4: the budget
+    # exit must test that state, not raise with it
+    mesh = lawson_tau(3, 1, 32, 8)
+    trace, u = run_uniformization(mesh, tol=1e-3, max_steps=60)
+    assert trace.rows[-1]["step"] == 60
+    assert trace.rows[-1]["curvature_dev"] < 1e-3
+    roomier, u61 = run_uniformization(mesh, tol=1e-3, max_steps=61)
+    assert trace.rows == roomier.rows
+    assert u.values.tobytes() == u61.values.tobytes()
+
+
+def test_a_nan_deviation_is_never_a_success(monkeypatch):
+    # NaN < tol is false: the flow keeps stepping and the budget exit raises
+    import dataclasses
+
+    from spherelab import flow
+
+    evaluated = flow._evaluated
+
+    def nan_after_start(mesh, u, metric, time, area, target):
+        state = evaluated(mesh, u, metric, time, area, target)
+        return dataclasses.replace(state, curvature_dev=np.nan) if time > 0 else state
+
+    monkeypatch.setattr(flow, "_evaluated", nan_after_start)
+    with pytest.raises(NonConvergence, match="curvature_dev = nan after 5 steps"):
+        run_uniformization(lawson_tau(3, 1, 24, 6), tol=1e-3, max_steps=5)
+
+
 def test_drifting_invariants_are_a_numeric_failure():
     # the check runs after the flow has computed: a drift is a failed
     # computation (exit 3), not bad input

@@ -314,6 +314,30 @@ def test_max_iter_exhaustion_returns_the_achieved_residual():
     assert sol.residual > 1e-12
 
 
+def test_an_iterate_within_tol_at_the_last_allowed_iteration_is_returned():
+    # xi21 converges in exactly 12 iterations, so a budget of 12 must see
+    # that iterate's residual, not the one before
+    prob, _ = load_plateau_problem(CONFIG_DIR / "xi21.json")
+    free = solve_plateau(prob, tol=1e-3, max_iter=20000)
+    bounded = solve_plateau(prob, tol=1e-3, max_iter=12)
+    assert free.iterations == bounded.iterations == 12
+    assert bounded.residual < 1e-3
+    assert bounded.residual == free.residual
+    assert np.array_equal(bounded.mesh.vertices, free.mesh.vertices)
+
+
+def test_a_budget_exit_reports_the_residual_of_the_returned_patch():
+    prob, *_ = _xi_problem(2, 8)
+    sol = solve_plateau(prob, tol=1e-12, max_iter=5)
+    disk = prob.interior_init
+    V, ends = sol.mesh.vertices, disk.edges
+    H, _ = plateau._descent_state(
+        V, disk.faces, _measure(V, ends, disk.face_edge_ids),
+        ~disk.boundary_vertex_mask, np.concatenate([ends[:, 0], ends[:, 1]]),
+        np.concatenate([ends[:, 1], ends[:, 0]]))
+    assert sol.residual == float(np.max(np.linalg.norm(H, axis=1)))
+
+
 @pytest.mark.parametrize("tol, max_iter, named", [
     (np.inf, 20000, "tol ="), (np.nan, 20000, "tol ="), (-1.0, 20000, "tol ="),
     (1e-3, 0, "max_iter ="), (1e-3, -3, "max_iter ="),

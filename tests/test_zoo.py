@@ -407,7 +407,8 @@ def test_certificate_margin_and_metric_count(monkeypatch):
                  veronese_rp2(1)):
         _certify_minimal(mesh, tol=tight)
     # the certificate reads the metric mean_curvature_vector builds anyway:
-    # one spherical induced metric and its flat twin per certified mesh
+    # one guarded spherical induced metric per certified mesh, whose flat
+    # twin shares its checked lengths and runs no guard of its own
     from spherelab.mesh import DiscreteMetric
 
     calls = []
@@ -419,10 +420,10 @@ def test_certificate_margin_and_metric_count(monkeypatch):
 
     monkeypatch.setattr(DiscreteMetric, "__post_init__", counted)
     lawson_tau(3, 1, 24, 6)
-    assert len(calls) == 2
+    assert len(calls) == 1
     calls.clear()
     bipolar(lawson_tau(3, 1, 32, 10, "bipolar"))
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ run build_xi21 build xi --config "$REPO/configs/xi21.json" -o xi21.mesh.json
 run build_xi31 build xi --config "$REPO/configs/xi31.json" -o xi31.mesh.json
 run build_tau24 build tau --m 3 --k 1 --nu 24 --nv 6 -o tau24.mesh.json
 run build_tau21 build tau --m 2 --k 1 --nu 32 --nv 16 -o tau21.mesh.json
+run build_tau32 build tau --m 3 --k 1 --nu 32 --nv 8 -o tau32.mesh.json
 
 meshes=(sphere clifford tau31 veronese xi21 xi31)
 for m in "${meshes[@]}"; do
@@ -57,16 +58,22 @@ run flow_xi21 flow --mesh xi21.mesh.json -o xi21.trace.csv
 # its tube field on the paper's embedded genus-2 surface, which has no sheet ties
 run ambient_xi21 ambient --mesh xi21.mesh.json --t-end 0.1 --out-dir ambient_xi21
 run ambient_tau24 ambient --mesh tau24.mesh.json --t-end 0.1 --out-dir ambient
-# the benchmark's horizon on a seed whose surface particles leave the surface
-run ambient_tau24_seed5 ambient --mesh tau24.mesh.json --t-end 0.25 --seed 5 \
+# the benchmark's horizon on a seed whose surface particles leave the surface:
+# both files are written, then exit 3
+run_code ambient_tau24_seed5 ambient --mesh tau24.mesh.json --t-end 0.25 --seed 5 \
     --out-dir ambient_seed5
-# the CLI's own horizon t_end = 1.0, every default
-run ambient_tau24_default ambient --mesh tau24.mesh.json --out-dir ambient_default
+# the CLI's own horizon t_end = 1.0, every default: exit 3 on both surfaces
+run_code ambient_tau24_default ambient --mesh tau24.mesh.json --out-dir ambient_default
+run_code ambient_xi21_default ambient --mesh xi21.mesh.json \
+    --out-dir ambient_xi21_default
 # at that horizon seed 2 meets a sheet tie where u disagrees: exit 3
 run_code ambient_tau24_tie ambient --mesh tau24.mesh.json --seed 2 \
     --out-dir ambient_tie
 run_code flow_budget flow --mesh tau31.mesh.json --tol 1e-12 --max-steps 5 \
     -o tau31_budget.trace.csv
+# the 60th and last allowed step meets the tol: exit 0
+run_code flow_tau32_budget flow --mesh tau32.mesh.json --tol 1e-3 --max-steps 60 \
+    -o tau32_budget.trace.csv
 run_code bipolar_tau31 build bipolar --nu 32 --nv 10 -o bipolar.mesh.json
 # exactly minimal, though its cotan max |H| stays near 0.067 at every level
 run_code build_veronese6 build veronese --level 6 -o veronese6.mesh.json
@@ -84,12 +91,14 @@ run_code ambient_too_wide ambient --mesh tau24.mesh.json --epsilon 0.25 \
     --t-end 0.01 --out-dir ambient_wide
 run_code flow_nan_tol flow --mesh clifford.mesh.json --tol nan --max-steps 5 \
     -o clifford_nan_tol.trace.csv
-# variants of configs/xi21.json: a five-iteration budget, the Plateau path
-# on a finer initial disk, a genus the assembled surface does not have, and
-# a tolerance no residual can miss (json writes it as Infinity)
+# variants of configs/xi21.json: a five-iteration budget, a twelve-iteration
+# budget the descent meets on its last iteration, the Plateau path on a finer
+# initial disk, a genus the assembled surface does not have, and a tolerance
+# no residual can miss (json writes it as Infinity)
 python -c 'import json, sys
 cfg = json.load(open(sys.argv[1]))
 open("xi21_short.json", "w").write(json.dumps(dict(cfg, max_iter=5), indent=2))
+open("xi21_budget.json", "w").write(json.dumps(dict(cfg, max_iter=12), indent=2))
 open("xi21_r24.json", "w").write(json.dumps(dict(cfg, resolution=24), indent=2))
 open("xi21_wrong_genus.json", "w").write(
     json.dumps(dict(cfg, expected_genus=1), indent=2))
@@ -97,6 +106,8 @@ open("xi21_tol_inf.json", "w").write(
     json.dumps(dict(cfg, tol=float("inf")), indent=2))' \
     "$REPO/configs/xi21.json"
 run_code build_xi_short build xi --config xi21_short.json -o xi21_short.mesh.json
+# the same mesh as xi21.mesh.json, exit 0
+run_code build_xi_budget build xi --config xi21_budget.json -o xi21_budget.mesh.json
 # WrongEuler is not a numeric failure: exit 2
 run_code build_xi_wrong_genus build xi --config xi21_wrong_genus.json \
     -o xi21_wrong_genus.mesh.json
