@@ -431,11 +431,12 @@ def test_certificates_prune_with_exact_distances(monkeypatch):
 
 
 def _spy_on_triangle_tests(monkeypatch):
-    """Per triangle-test call: (1-based index of its field batch, points)."""
+    """(calls, batches): per triangle-test call (1-based index of its field
+    batch, points), and the row count of each field batch."""
     batches, calls = [], []
 
     def field_batch(*args):
-        batches.append(None)
+        batches.append(len(args[1]))
         return _field_batch(*args)
 
     def triangles(P, *rest):
@@ -444,7 +445,7 @@ def _spy_on_triangle_tests(monkeypatch):
 
     monkeypatch.setattr(ambient, "_field_batch", field_batch)
     monkeypatch.setattr(ambient, "_closest_on_triangles", triangles)
-    return calls
+    return calls, batches
 
 
 def test_stage_memo_skips_the_search_at_repeated_stage_points(monkeypatch):
@@ -452,7 +453,7 @@ def test_stage_memo_skips_the_search_at_repeated_stage_points(monkeypatch):
     # point repeats bit for bit and takes its closest faces from the memo
     _, _, field = _torus_field()
     ens = build_ensemble(field, 0, 0, 12, seed=21)
-    calls = _spy_on_triangle_tests(monkeypatch)
+    calls, _ = _spy_on_triangle_tests(monkeypatch)
     out = integrate_palais_flow(field, ens, 0.4, 0.01)
     assert len(out.log) == 1 + 40
     assert {batch for batch, _ in calls} == {1, 2, 3, 4}
@@ -465,13 +466,15 @@ def test_stage_memo_tests_only_the_carrier_vertices_that_move(monkeypatch):
     dt = 0.5 * field.epsilon / (4.0 * _gradient_bound(field))
     carrier = ParticleEnsemble(mesh.vertices.copy(),
                                ["vertex"] * mesh.n_vertices, [])
-    calls = _spy_on_triangle_tests(monkeypatch)
-    out = integrate_palais_flow(field, carrier, 40 * dt, dt)
-    moved = np.any([np.any(X != mesh.vertices, axis=1) for _, X in out.log],
-                   axis=0).sum()
-    assert moved < 0.1 * mesh.n_vertices
+    calls, sizes = _spy_on_triangle_tests(monkeypatch)
+    integrate_palais_flow(field, carrier, 40 * dt, dt)
+    # the vertices that can move are the rows left in the batches after
+    # step 1; row 54 stays there (an edge code), though under this u its
+    # velocity rounds away and it ends where it started
+    live = max(sizes[4:])
+    assert live < 0.1 * mesh.n_vertices
     later = [len(np.unique(P, axis=0)) for batch, P in calls if batch > 4]
-    assert max(later, default=0) <= moved
+    assert max(later, default=0) <= live
 
 
 def test_rows_certified_at_rest_leave_every_later_batch(monkeypatch):
@@ -501,7 +504,8 @@ def test_rows_certified_at_rest_leave_every_later_batch(monkeypatch):
         n = len(start.positions)
         assert sizes == [n] * 4 + [n_live] * (4 * 39)
         assert np.array_equal(out.positions, expected)
-        assert np.any(out.positions != start.positions)
+        if start is ens:  # the carrier's one live row ends where it started
+            assert np.any(out.positions != start.positions)
 
 
 def test_freezing_hides_no_closest_point_ambiguity():
@@ -957,13 +961,15 @@ def test_tube_radius_must_be_finite_and_positive(epsilon):
 def test_default_step_is_half_the_stable_step():
     mesh, _, field = _flow_field(24, 6)
     dt = 0.5 * field.epsilon / (4.0 * _gradient_bound(field))
-    for start in (build_ensemble(field, 4, 4, 4, seed=7),
-                  ParticleEnsemble(mesh.vertices.copy(), ["vertex"] * mesh.n_vertices, [])):
+    ens = build_ensemble(field, 4, 4, 4, seed=7)
+    for start in (ens, ParticleEnsemble(mesh.vertices.copy(),
+                                        ["vertex"] * mesh.n_vertices, [])):
         by_default = integrate_palais_flow(field, start, 6 * dt)
         explicit = integrate_palais_flow(field, start, 6 * dt, dt)
         assert np.array_equal(by_default.positions, explicit.positions)
         assert [t for t, _ in by_default.log] == [t for t, _ in explicit.log]
-        assert np.abs(by_default.positions - start.positions).max() > 0.0
+        if start is ens:  # the carrier's one live row ends where it started
+            assert np.abs(by_default.positions - start.positions).max() > 0.0
 
 
 def test_default_step_without_a_factor_is_one_step_to_t_end():

@@ -75,6 +75,20 @@ def test_smooth_factor_area_change_matches_the_integral():
     assert mismatches[1] < mismatches[0] / 3.0
 
 
+def test_the_area_identity_quadrature_converges_at_second_order():
+    # int (e^{2u} - 1) dmu = 0 is the area preservation of the smooth
+    # deformation; its vertex quadrature on the induced metric is a
+    # discretisation error of the flow's u, which halving h divides by ~4
+    errors = []
+    for nu, nv in ((32, 8), (64, 16), (128, 32)):
+        mesh = lawson_tau(3, 1, nu, nv)
+        _, u = run_uniformization(mesh, tol=1e-4)
+        A = vertex_dual_areas(mesh, _euclidean_base(mesh)).values
+        errors.append(abs(np.sum((np.exp(2 * u.values) - 1.0) * A)) / np.sum(A))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders >= 1.8), orders
+
+
 def test_triangle_violation_lists_faces():
     m = clifford_torus(12)
     base = _euclidean_base(m)
@@ -135,6 +149,29 @@ def test_one_step_decreases_curvature_deviation():
     assert abs(stepped.area - state.area) < 1e-12 * state.area
 
 
+def test_line_search_halves_a_newton_step_that_breaks_a_triangle():
+    # a Clifford torus 16x16 with its vertices jittered by 0.2 h: the full
+    # first Newton step violates a triangle, half of it is accepted, and
+    # the next state starts again from length 1
+    clifford = clifford_torus(16)
+    h = 2 * np.pi / 16 / np.sqrt(2)
+    V = clifford.vertices + 0.2 * h * np.random.default_rng(0).standard_normal(
+        clifford.vertices.shape)
+    mesh = clifford.with_vertices(V / np.linalg.norm(V, axis=1)[:, None])
+    base = _euclidean_base(mesh)
+    state, target = _initial_state(mesh, base)
+    with pytest.raises(TriangleViolation):
+        flow_step(state, 1.0, target, mesh, base)
+    trace, _ = run_uniformization(mesh, tol=1e-4)
+    rows = trace.rows
+    assert [r["step"] for r in rows[:3]] == [0, 2, 3]  # attempt 1 was rejected
+    assert [r["dt"] for r in rows[:3]] == [0.0, 0.5, 1.0]
+    assert [r["time"] for r in rows] == np.cumsum([r["dt"] for r in rows]).tolist()
+    lyap = [r["lyapunov"] for r in rows]
+    assert all(b < a for a, b in zip(lyap, lyap[1:]))
+    assert rows[-1]["curvature_dev"] < 1e-4
+
+
 # ---------------------------------------------------------------------------
 # full runs
 
@@ -192,7 +229,7 @@ def test_xi21_flows_to_its_negative_topological_curvature():
 
 def test_nonconvergence_carries_the_trace():
     with pytest.raises(NonConvergence) as exc:
-        run_uniformization(lawson_tau(3, 1, 32, 8), tol=1e-12, max_steps=5)
+        run_uniformization(lawson_tau(3, 1, 32, 8), tol=1e-12, max_steps=1)
     assert exc.value.trace is not None
     assert len(exc.value.trace.rows) >= 1
     state = exc.value.state
@@ -201,15 +238,16 @@ def test_nonconvergence_carries_the_trace():
 
 
 def test_a_state_within_tol_after_the_last_allowed_step_is_a_success():
-    # the 60th attempted step brings curvature_dev to 9.26e-4: the budget
-    # exit must test that state, not raise with it
+    # the 2nd attempted step brings curvature_dev from 9.2e-2 to 2.4e-6: the
+    # budget exit must test that state, not raise with it
     mesh = lawson_tau(3, 1, 32, 8)
-    trace, u = run_uniformization(mesh, tol=1e-3, max_steps=60)
-    assert trace.rows[-1]["step"] == 60
+    trace, u = run_uniformization(mesh, tol=1e-3, max_steps=2)
+    assert trace.rows[-1]["step"] == 2
+    assert trace.rows[-2]["curvature_dev"] >= 1e-3
     assert trace.rows[-1]["curvature_dev"] < 1e-3
-    roomier, u61 = run_uniformization(mesh, tol=1e-3, max_steps=61)
+    roomier, u3 = run_uniformization(mesh, tol=1e-3, max_steps=3)
     assert trace.rows == roomier.rows
-    assert u.values.tobytes() == u61.values.tobytes()
+    assert u.values.tobytes() == u3.values.tobytes()
 
 
 def test_a_nan_deviation_is_never_a_success(monkeypatch):
@@ -240,6 +278,19 @@ def test_drifting_invariants_are_a_numeric_failure():
         FlowTrace(rows).check_invariants()
 
 
+def test_the_trace_records_the_area_each_metric_measured(monkeypatch):
+    # without the area shift the scaled metrics' areas drift from the
+    # target, and the trace's area column must show it
+    from spherelab import flow as flow_mod
+
+    def unshifted(mesh, base, u, target_area):
+        return u, conformal_lengths(base, VertexField(u))
+
+    monkeypatch.setattr(flow_mod, "_renormalized", unshifted)
+    with pytest.raises(NumericFailure, match="area drifts"):
+        run_uniformization(lawson_tau(3, 1, 32, 8), tol=1e-4)
+
+
 def test_flow_rejects_open_meshes():
     n = 8
     ang = 2 * np.pi * np.arange(n) / n
@@ -266,13 +317,14 @@ def test_trace_csv_layout_and_determinism():
 
 
 # ---------------------------------------------------------------------------
-# bit-exactness against the loop that evaluated curvature four times a step
+# the endpoint of the explicit Euler flow the Newton steps replaced
 
 
 def _reference_uniformization(mesh, tol, max_steps=20000):
     """The explicit Euler loop as first written: the old metric, the
     candidate, the Lyapunov test and the trace record each evaluate
-    curvature, and every evaluation takes the dual areas twice.
+    curvature, and every evaluation takes the dual areas twice.  It is an
+    independent oracle for the endpoint u.
 
     Returns (rows, final u, rejected steps); it has no dt floor, so a run
     that would collapse never returns.
@@ -338,13 +390,25 @@ def _reference_uniformization(mesh, tol, max_steps=20000):
 @pytest.mark.parametrize("build", [lambda: lawson_tau(3, 1, 32, 8),
                                    lambda: veronese_rp2(3)],
                          ids=["tau31_32x8", "veronese_L3"])
-def test_one_evaluation_per_step_is_bit_exact(build):
+def test_newton_reaches_the_euler_endpoint_with_one_evaluation_per_step(
+        build, monkeypatch):
+    from spherelab import flow as flow_mod
+
     mesh = build()
-    ref_rows, ref_u, rejected = _reference_uniformization(mesh, tol=1e-4)
-    assert rejected >= 1, "the reject path must be exercised"
+    _, ref_u, _ = _reference_uniformization(mesh, tol=1e-4)
+    evaluations = []
+    evaluated = flow_mod._evaluated
+
+    def counted(*args):
+        evaluations.append(None)
+        return evaluated(*args)
+
+    monkeypatch.setattr(flow_mod, "_evaluated", counted)
     trace, u = run_uniformization(mesh, tol=1e-4)
-    assert trace.rows == ref_rows
-    assert u.values.tobytes() == ref_u.tobytes()
+    assert trace.rows[-1]["curvature_dev"] < 1e-4
+    assert np.max(np.abs(u.values - ref_u)) < 1e-4
+    # the start, then one evaluation per attempted step
+    assert len(evaluations) == trace.rows[-1]["step"] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +441,9 @@ def test_each_scaled_metric_checks_the_triangle_inequality_once(monkeypatch):
             if obj is slacks:
                 monkeypatch.setattr(mod, name, counted_slacks)
     monkeypatch.setattr(DiscreteMetric, "__post_init__", counted_post_init)
-    run_uniformization(mesh, tol=1e-4)
-    assert calls["metrics"] > 100
+    trace, _ = run_uniformization(mesh, tol=1e-4)
+    # the induced metric, then at least one scaled metric per attempted step
+    assert calls["metrics"] > trace.rows[-1]["step"] >= 2
     assert calls["slacks"] == calls["metrics"]
 
 
@@ -434,8 +499,9 @@ def test_each_curvature_evaluation_computes_the_dual_areas_once(monkeypatch):
         if vars(mod).get("vertex_dual_areas") is vertex_dual_areas:
             monkeypatch.setattr(mod, "vertex_dual_areas", counted_dual)
     monkeypatch.setattr(flow_mod, "_evaluated", counted_evaluated)
-    run_uniformization(lawson_tau(3, 1, 32, 8), tol=1e-4)
-    assert calls["evaluations"] > 50
+    trace, _ = run_uniformization(lawson_tau(3, 1, 32, 8), tol=1e-4)
+    # the start, then one evaluation per attempted step
+    assert calls["evaluations"] == trace.rows[-1]["step"] + 1 >= 3
     assert calls["dual"] == calls["evaluations"]
     calls["dual"] = 0
     ExtrinsicField.compute(clifford_torus(16))

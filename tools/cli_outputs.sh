@@ -71,8 +71,8 @@ run_code ambient_tau24_tie ambient --mesh tau24.mesh.json --seed 2 \
     --out-dir ambient_tie
 run_code flow_budget flow --mesh tau31.mesh.json --tol 1e-12 --max-steps 5 \
     -o tau31_budget.trace.csv
-# the 60th and last allowed step meets the tol: exit 0
-run_code flow_tau32_budget flow --mesh tau32.mesh.json --tol 1e-3 --max-steps 60 \
+# the 2nd and last allowed step meets the tol: exit 0
+run_code flow_tau32_budget flow --mesh tau32.mesh.json --tol 1e-3 --max-steps 2 \
     -o tau32_budget.trace.csv
 run_code bipolar_tau31 build bipolar --nu 32 --nv 10 -o bipolar.mesh.json
 # exactly minimal, though its cotan max |H| stays near 0.067 at every level
